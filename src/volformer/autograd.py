@@ -15,7 +15,6 @@ import contextlib
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
 
 from .errors import ConfigError, ShapeError, UsageError
@@ -144,8 +143,12 @@ def tensor(data, requires_grad=False, dtype=None):
     return Tensor(arr, requires_grad=requires_grad)
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _as_tensor(x, like=None):
+    """Wrap a constant as a Tensor: float64, or the dtype of the Tensor
+    ``like`` it is combined with, so a float32 graph stays float32."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, dtype=like.dtype if isinstance(like, Tensor) else np.float64))
 
 
 def _make(data, parents, backward_fn):
@@ -173,7 +176,7 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out_data = a.data + b.data
 
     def bw(out):
@@ -187,7 +190,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out_data = a.data - b.data
 
     def bw(out):
@@ -201,7 +204,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out_data = a.data * b.data
 
     def bw(out):
@@ -215,7 +218,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out_data = a.data / b.data
 
     def bw(out):
@@ -265,12 +268,11 @@ def log(a):
 def clamp_min(a, lo):
     """max(a, lo) elementwise; subgradient 0 where clamped."""
     a = _as_tensor(a)
-    mask = a.data >= lo
-    out_data = np.where(mask, a.data, lo)
+    out_data = np.maximum(a.data, lo)
 
     def bw(out):
         if a.requires_grad:
-            a.accumulate_grad(out.grad * mask)
+            a.accumulate_grad(out.grad * (a.data >= lo))
 
     return _make(out_data, (a,), bw)
 
@@ -545,14 +547,6 @@ def _tuplize(v, n, name):
     return v
 
 
-def _window_view(xp, kernel, stride):
-    """(B, C, *Sp) -> (B, C, *Lout, *K) strided window view."""
-    n = len(kernel)
-    win = sliding_window_view(xp, kernel, axis=tuple(range(2, 2 + n)))
-    sub = (slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)
-    return win[sub]
-
-
 def _conv_out_extents(spatial, kernel, stride, padding):
     out = []
     for d, k, s, p in zip(spatial, kernel, stride, padding):
@@ -566,42 +560,63 @@ def _conv_out_extents(spatial, kernel, stride, padding):
     return tuple(out)
 
 
-def _conv_forward_data(xd, wd, stride, padding):
-    """Raw im2col cross-correlation. Returns (y, cols)."""
-    n = wd.ndim - 2
-    b = xd.shape[0]
-    pads = [(0, 0), (0, 0)] + [(p, p) for p in padding]
-    xp = np.pad(xd, pads)
-    kernel = wd.shape[2:]
-    win = _window_view(xp, kernel, stride)  # (B, C, *Lout, *K)
-    lout = win.shape[2 : 2 + n]
-    perm = (0,) + tuple(range(2, 2 + n)) + (1,) + tuple(range(2 + n, 2 + 2 * n))
-    cols = win.transpose(perm).reshape(b * int(np.prod(lout)), -1)
-    wmat = wd.reshape(wd.shape[0], -1)
-    y = cols @ wmat.T
-    y = y.reshape((b,) + lout + (wd.shape[0],))
-    y = np.moveaxis(y, -1, 1)
-    return np.ascontiguousarray(y), cols
+def _pad(xd, padding, value=0.0):
+    """Pad the spatial axes of (B, C, *S); no copy when the padding is 0."""
+    if not any(padding):
+        return xd
+    return np.pad(xd, [(0, 0), (0, 0)] + [(p, p) for p in padding], constant_values=value)
 
 
-def _dilate(yd, stride):
-    """Insert stride-1 zeros between spatial elements."""
-    if all(s == 1 for s in stride):
-        return yd
-    b, c = yd.shape[:2]
-    lout = yd.shape[2:]
-    dil = tuple((l - 1) * s + 1 for l, s in zip(lout, stride))
-    out = np.zeros((b, c) + dil, dtype=yd.dtype)
-    idx = (slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)
-    out[idx] = yd
-    return out
+def _crop(gp, padding, shape):
+    """Undo :func:`_pad` on a gradient of the padded array."""
+    return gp[(slice(None), slice(None)) + tuple(slice(p, p + d) for p, d in zip(padding, shape[2:]))]
+
+
+def _window_slices(kernel, stride, lout):
+    """For each kernel offset (row-major), the strided slice of a padded
+    (B, C, *S) array that the offset meets at every output position."""
+    return [
+        (off, (slice(None), slice(None))
+         + tuple(slice(o, o + s * (l - 1) + 1, s) for o, s, l in zip(off, stride, lout)))
+        for off in np.ndindex(*kernel)
+    ]
+
+
+def _is_pointwise(kernel, stride, padding):
+    return all(k == 1 for k in kernel) and all(s == 1 for s in stride) and not any(padding)
+
+
+def _im2col(xd, kernel, stride, padding, lout):
+    """(B, C, *S) -> (B, C*K, L) columns, one strided copy per kernel offset;
+    a 1x1, stride-1, unpadded kernel reads the input in place."""
+    b, c = xd.shape[:2]
+    if _is_pointwise(kernel, stride, padding):
+        return xd.reshape(b, c, -1)
+    xp = _pad(xd, padding)
+    cols = np.empty((b, c) + kernel + lout, dtype=xd.dtype)
+    for off, sl in _window_slices(kernel, stride, lout):
+        cols[(slice(None), slice(None)) + off] = xp[sl]
+    return cols.reshape(b, c * math.prod(kernel), math.prod(lout))
+
+
+def _col2im(gcols, shape, kernel, stride, padding, lout):
+    """Adjoint of :func:`_im2col`: scatter-add (B, C*K, L) columns onto ``shape``."""
+    if _is_pointwise(kernel, stride, padding):
+        return gcols.reshape(shape)
+    b, c = shape[:2]
+    gcols = gcols.reshape((b, c) + kernel + lout)
+    gp = np.zeros((b, c) + tuple(d + 2 * p for d, p in zip(shape[2:], padding)), dtype=gcols.dtype)
+    for off, sl in _window_slices(kernel, stride, lout):
+        gp[sl] += gcols[(slice(None), slice(None)) + off]
+    return _crop(gp, padding, shape)
 
 
 def conv_nd(x, w, stride=1, padding=0):
     """N-dimensional cross-correlation, N in {1, 2, 3}.
 
     ``x`` is (B, C_in, *spatial) or unbatched (C_in, *spatial); ``w`` is
-    (C_out, C_in, *kernel). Differentiable w.r.t. both operands.
+    (C_out, C_in, *kernel). Differentiable w.r.t. both operands. One GEMM
+    ``W(C_out, C_in*K) @ cols(B, C_in*K, L)`` gives the output in NCHW.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     n = w.ndim - 2
@@ -616,105 +631,78 @@ def conv_nd(x, w, stride=1, padding=0):
         raise ShapeError(f"conv channel mismatch: input {x.shape} vs weight {w.shape}")
     stride = _tuplize(stride, n, "stride")
     padding = _tuplize(padding, n, "padding")
-    _conv_out_extents(x.shape[2:], w.shape[2:], stride, padding)
-
-    out_data, cols = _conv_forward_data(x.data, w.data, stride, padding)
     kernel = w.shape[2:]
-    spatial = x.shape[2:]
+    lout = _conv_out_extents(x.shape[2:], kernel, stride, padding)
+
+    cols = _im2col(x.data, kernel, stride, padding, lout)
+    wmat = w.data.reshape(w.shape[0], -1)
+    out_data = np.matmul(wmat, cols).reshape((x.shape[0], w.shape[0]) + lout)
 
     def bw(out):
-        g = out.grad
+        g = out.grad.reshape(out.shape[0], out.shape[1], -1)
         if w.requires_grad:
-            gmat = np.moveaxis(g, 1, -1).reshape(-1, w.shape[0])
-            w.accumulate_grad((gmat.T @ cols).reshape(w.shape))
+            w.accumulate_grad(np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(w.shape))
         if x.requires_grad:
-            gd = _dilate(g, stride)
-            wt = np.ascontiguousarray(np.flip(w.data, axis=tuple(range(2, 2 + n))).swapaxes(0, 1))
-            core, _ = _conv_forward_data(gd, wt, (1,) * n, tuple(k - 1 for k in kernel))
-            gx = np.zeros(x.shape, dtype=g.dtype)
-            src = tuple(
-                slice(p, min(p + s, c))
-                for p, s, c in zip(padding, spatial, core.shape[2:])
-            )
-            dst = tuple(slice(0, sl.stop - sl.start) for sl in src)
-            gx[(slice(None), slice(None)) + dst] = core[(slice(None), slice(None)) + src]
-            x.accumulate_grad(gx)
+            x.accumulate_grad(_col2im(np.matmul(wmat.T, g), x.shape, kernel, stride, padding, lout))
 
     out = _make(out_data, (x, w), bw)
     return reshape(out, out.shape[1:]) if unbatched else out
 
 
-def _pool_prepare(x, window, stride, padding, pad_value):
-    n = x.ndim - 2
+def _pool_geometry(shape, window, stride, padding):
+    n = len(shape) - 2
     window = _tuplize(window, n, "window")
     stride = _tuplize(stride if stride is not None else window, n, "stride")
     padding = _tuplize(padding, n, "padding")
-    for d, k, p in zip(x.shape[2:], window, padding):
+    for d, k, p in zip(shape[2:], window, padding):
         if d + 2 * p < k:
-            raise ConfigError(f"pool window {window} larger than padded input {x.shape}")
-    pads = [(0, 0), (0, 0)] + [(p, p) for p in padding]
-    xp = np.pad(x.data, pads, constant_values=pad_value)
-    win = _window_view(xp, window, stride)
-    lout = win.shape[2 : 2 + n]
-    flat = win.reshape(win.shape[:2] + (int(np.prod(lout)), int(np.prod(window))))
-    # spatial flat-index map of each window member into the padded grid
-    sp = xp.shape[2:]
-    idx = sliding_window_view(np.arange(int(np.prod(sp))).reshape(sp), window)
-    idx = idx[tuple(slice(None, None, s) for s in stride)].reshape(flat.shape[2:])
-    return xp.shape, lout, flat, idx
-
-
-def _pool_scatter(flat_idx, weights, padded_shape, spatial_src, padding):
-    b, c = padded_shape[:2]
-    sp_flat = int(np.prod(padded_shape[2:]))
-    acc = np.bincount(flat_idx.ravel(), weights=weights.ravel(), minlength=b * c * sp_flat)
-    acc = acc.reshape((b, c) + padded_shape[2:])
-    crop = (slice(None), slice(None)) + tuple(
-        slice(p, p + d) for p, d in zip(padding, spatial_src)
-    )
-    return acc[crop]
+            raise ConfigError(f"pool window {window} larger than padded input {shape}")
+    lout = _conv_out_extents(shape[2:], window, stride, padding)
+    return padding, _window_slices(window, stride, lout)
 
 
 def max_pool_nd(x, window, stride=None, padding=0):
+    """Window maximum; the gradient goes to the first maximal member in
+    row-major window order (``argmax``'s tie rule)."""
     x = _as_tensor(x)
-    n = x.ndim - 2
-    padding_t = _tuplize(padding, n, "padding")
-    padded_shape, lout, flat, idx = _pool_prepare(x, window, stride, padding, -np.inf)
-    am = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, am[..., None], axis=-1)[..., 0]
-    out_data = out_data.reshape(x.shape[:2] + lout)
+    padding, slices = _pool_geometry(x.shape, window, stride, padding)
+    xp = _pad(x.data, padding, -np.inf)
+    out_data = xp[slices[0][1]].copy()
+    for _, sl in slices[1:]:
+        np.maximum(out_data, xp[sl], out=out_data)
 
     def bw(out):
         if x.requires_grad:
-            b, c = x.shape[:2]
-            chosen = idx[np.arange(idx.shape[0]), am]  # (B, C, L)
-            base = (np.arange(b * c) * int(np.prod(padded_shape[2:]))).reshape(b, c, 1)
-            g = _pool_scatter(chosen + base, out.grad.reshape(b, c, -1), padded_shape, x.shape[2:], padding_t)
-            x.accumulate_grad(g.astype(x.dtype, copy=False))
+            gp = np.zeros(xp.shape, dtype=out.grad.dtype)
+            free = np.ones(out.shape, dtype=bool)
+            for _, sl in slices:
+                hit = free & (xp[sl] == out_data)
+                gp[sl] += out.grad * hit
+                free &= ~hit
+            x.accumulate_grad(_crop(gp, padding, x.shape))
 
     return _make(out_data, (x,), bw)
 
 
 def avg_pool_nd(x, window, stride=None, padding=0):
+    """Window mean; zero padding counts toward the window size."""
     x = _as_tensor(x)
-    n = x.ndim - 2
-    window_t = _tuplize(window, n, "window")
-    padding_t = _tuplize(padding, n, "padding")
-    padded_shape, lout, flat, idx = _pool_prepare(x, window, stride, padding, 0.0)
-    kprod = int(np.prod(window_t))
-    out_data = flat.mean(axis=-1).reshape(x.shape[:2] + lout)
+    padding, slices = _pool_geometry(x.shape, window, stride, padding)
+    xp = _pad(x.data, padding)
+    out_data = xp[slices[0][1]].copy()
+    for _, sl in slices[1:]:
+        out_data += xp[sl]
+    out_data /= len(slices)
 
     def bw(out):
         if x.requires_grad:
-            b, c = x.shape[:2]
-            base = (np.arange(b * c) * int(np.prod(padded_shape[2:]))).reshape(b, c, 1, 1)
-            members = idx[None, None, :, :] + base  # (B, C, L, K)
-            weights = np.repeat(out.grad.reshape(b, c, -1, 1) / kprod, kprod, axis=-1)
-            g = _pool_scatter(members, weights, padded_shape, x.shape[2:], padding_t)
-            x.accumulate_grad(g.astype(x.dtype, copy=False))
+            gp = np.zeros(xp.shape, dtype=out.grad.dtype)
+            g = out.grad / len(slices)
+            for _, sl in slices:
+                gp[sl] += g
+            x.accumulate_grad(_crop(gp, padding, x.shape))
 
     return _make(out_data, (x,), bw)
-
 
 def global_avg_pool(x):
     """Mean over all spatial axes: (B, C, *S) -> (B, C)."""

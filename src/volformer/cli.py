@@ -25,7 +25,13 @@ from .cohort import (
     split_dataset,
     write_cohort_csv,
 )
-from .errors import ConfigError, DataError, DivergenceError, VolformerError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    DataError,
+    DivergenceError,
+    VolformerError,
+)
 from .evaluation import (
     PredictionSet,
     ensemble_predict,
@@ -266,6 +272,16 @@ def _train_one_fold(packed):
     return fold_index, snapshot.epoch, snapshot.val_ap, str(ckpt), str(hist_path)
 
 
+def _thread_cap():
+    """The VOLFORMER_THREADS cap on fold workers, or None when unset."""
+    raw = os.environ.get("VOLFORMER_THREADS")
+    if not raw:
+        return None
+    if not (raw.strip().isdecimal() and int(raw) > 0):
+        raise ConfigError(f"VOLFORMER_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def cmd_train(args):
     overrides = {
         "cohort": args.cohort, "volumes": args.volumes, "out": args.out,
@@ -276,6 +292,7 @@ def cmd_train(args):
     }
     cfg = load_experiment_config(args.config, overrides)
     model_cfg, train_cfg, crop, factors = _experiment_pieces(cfg)
+    thread_cap = _thread_cap()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 
@@ -300,9 +317,7 @@ def cmd_train(args):
             val=samples.subset([index_of[k] for k in val_ids]))
         jobs.append((model_cfg, fold_data, fold_index, train_cfg, str(out)))
 
-    env_cap = os.environ.get("VOLFORMER_THREADS")
-    workers = min(cfg["parallel_folds"], len(jobs),
-                  int(env_cap) if env_cap else cfg["parallel_folds"])
+    workers = min(cfg["parallel_folds"], len(jobs), thread_cap or cfg["parallel_folds"])
     if workers > 1:
         # spawn fresh interpreters with single-threaded BLAS: fold workers
         # oversubscribe the cores otherwise and parallelism buys nothing
@@ -364,13 +379,24 @@ def cmd_evaluate(args):
     check_sample_spec(samples, model_cfg)
 
     from .checkpoint import load_checkpoint
-    ckpts = sorted(snap_dir.glob("fold_*.vfwt"))
+    # only the checkpoints the train manifests list, found by basename, so
+    # stray or leftover folds in the directory are never ensembled
+    ckpts = [snap_dir / name for name in sorted(
+        {Path(o).name for m in manifests for o in read_manifest(m)["outputs"]
+         if o.endswith(".vfwt")})]
     if not ckpts:
-        raise DataError(f"no fold_*.vfwt snapshots in {snap_dir}")
+        raise DataError(f"the train manifests in {snap_dir} list no checkpoints")
+    absent = [c.name for c in ckpts if not c.is_file()]
+    if absent:
+        raise DataError(f"checkpoints listed by the train manifests are missing "
+                        f"from {snap_dir}: {', '.join(absent)}")
     graphs = []
-    for i, ckpt in enumerate(ckpts):
+    for ckpt in ckpts:
         graph = build_model(model_cfg, seed=0)
-        graph.module.load_state_dict(load_checkpoint(ckpt))
+        _, missing, _ = graph.module.load_state_dict(load_checkpoint(ckpt))
+        if missing:
+            raise CheckpointError(f"{ckpt} lacks {len(missing)} model tensors, "
+                                  f"first {missing[0]!r}")
         graphs.append(graph)
 
     pred = ensemble_predict(graphs, samples)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import correlate
 
 from volformer import autograd as ag
 from volformer.errors import ConfigError, ShapeError, UsageError
@@ -94,6 +95,83 @@ class TestConv:
         x3 = t64(rng.normal(size=(1, 1, 3, 4, 4)))
         w3 = t64(rng.normal(size=(2, 1, 3, 3, 3)))
         assert_grads_match(lambda: (ag.conv_nd(x3, w3, padding=1) ** 2).sum(), [x3, w3])
+
+
+def _correlate_reference(x, w, stride, padding):
+    """Strided, zero-padded cross-correlation from float64 scipy.signal.correlate."""
+    n = w.ndim - 2
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(padding, padding)] * n)
+    out = np.stack([
+        np.stack([sum(correlate(xb[c], wo[c], mode="valid") for c in range(x.shape[1]))
+                  for wo in w])
+        for xb in xp])
+    return out[(slice(None), slice(None)) + (slice(None, None, stride),) * n]
+
+
+# (input shape, weight shape, stride, padding): 1-D, 2-D and 3-D kernels at
+# stride 1 and 2, padding 0, 1 and 3, and a 1x1 stride-2 projection
+CONV_GRID = [
+    ((2, 3, 9), (4, 3, 3), 1, 0),
+    ((2, 3, 9), (4, 3, 3), 2, 1),
+    ((2, 3, 9), (2, 3, 5), 2, 3),
+    ((2, 2, 7, 6), (3, 2, 3, 3), 1, 1),
+    ((2, 2, 7, 6), (3, 2, 3, 3), 2, 0),
+    ((2, 2, 9, 8), (3, 2, 7, 7), 2, 3),
+    ((2, 4, 6, 5), (3, 4, 1, 1), 2, 0),
+    ((2, 4, 6, 5), (3, 4, 1, 1), 1, 0),
+    ((1, 2, 4, 5, 5), (2, 2, 3, 3, 3), 1, 1),
+    ((1, 2, 5, 5, 4), (2, 2, 3, 3, 3), 2, 0),
+    ((1, 2, 4, 4, 5), (2, 2, 1, 1, 1), 2, 0),
+]
+
+
+class TestConvKernels:
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_GRID)
+    def test_forward_matches_scipy_correlate(self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(sum(x_shape) + 10 * stride + padding)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        ref = _correlate_reference(x, w, stride, padding)
+        y = ag.conv_nd(t64(x), t64(w), stride=stride, padding=padding).data
+        np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-12)
+        y32 = ag.conv_nd(ag.tensor(x, dtype=np.float32), ag.tensor(w, dtype=np.float32),
+                         stride=stride, padding=padding).data
+        assert y32.dtype == np.float32
+        np.testing.assert_allclose(y32, ref, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 3)])
+    def test_unbatched_matches_batched(self, stride, padding):
+        rng = np.random.default_rng(3)
+        x, w = rng.normal(size=(2, 6, 7)), rng.normal(size=(3, 2, 3, 3))
+        y = ag.conv_nd(t64(x), t64(w), stride=stride, padding=padding).data
+        np.testing.assert_allclose(y, _correlate_reference(x[None], w, stride, padding)[0],
+                                   rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_GRID)
+    def test_col2im_input_gradient(self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(sum(w_shape) + stride + 7 * padding)
+        x, w = t64(rng.normal(size=x_shape)), t64(rng.normal(size=w_shape))
+        r = [None]
+
+        def loss():
+            y = ag.conv_nd(x, w, stride=stride, padding=padding)
+            if r[0] is None:
+                r[0] = rng.normal(size=y.shape)
+            return (y * r[0]).sum()
+
+        assert_grads_match(loss, [x, w])
+
+    def test_max_pool_tie_goes_to_first_maximal_member(self):
+        x = t64(np.array([[[[1.0, 3.0, 3.0],
+                             [3.0, 0.0, 2.0],
+                             [3.0, 1.0, 0.0]]]]))
+        y = ag.max_pool_nd(x, 2, stride=1)
+        np.testing.assert_array_equal(y.data, [[[[3.0, 3.0], [3.0, 2.0]]]])
+        ag.backward((y * np.array([[[[1.0, 10.0], [100.0, 1000.0]]]])).sum())
+        # windows at (0,0) and (1,0) both tie at 3; row-major order picks
+        # the first maximal member, as argmax over the flattened window does
+        np.testing.assert_array_equal(x.grad, [[[[0.0, 11.0, 0.0],
+                                                 [100.0, 0.0, 1000.0],
+                                                 [0.0, 0.0, 0.0]]]])
 
 
 class TestSoftmax:
@@ -295,3 +373,54 @@ class TestElementwiseOps:
         with ag.no_grad():
             y = (x * 2.0).sum()
         assert not y.requires_grad
+
+
+class TestDtype:
+    """A constant meeting a Tensor takes its dtype, so float32 models stay
+    float32 and float64 gradcheck blocks stay float64."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        dtypes = []
+        make = ag._make
+
+        def spy(data, parents, backward_fn):
+            dtypes.append(np.asarray(data).dtype)
+            return make(data, parents, backward_fn)
+
+        monkeypatch.setattr(ag, "_make", spy)
+        return dtypes
+
+    def test_constants_take_the_tensor_dtype(self):
+        x32 = ag.tensor(np.ones(3, dtype=np.float32))
+        for y in (x32 * 0.5, 2.0 - x32, x32 / np.float64(3.0), x32 + np.ones(3)):
+            assert y.dtype == np.float32
+        assert (t64(np.ones(3)) * np.float32(2.0)).dtype == np.float64
+
+    @pytest.mark.parametrize("preset", ["toy-2d-trf", "toy-2d-fc", "toy-conv3d",
+                                        "toy-multiview-shared"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_float32_model_stays_float32(self, monkeypatch, preset, training):
+        from volformer.architectures import build_model
+        from volformer.nn import Ctx
+        from volformer.presets import preset_config
+        from volformer.training import focal_loss
+
+        graph = build_model(preset_config(preset), seed=0)
+        rng = np.random.default_rng(0)
+        inputs = {v: rng.random((2,) + shape, dtype=np.float32)
+                  for v, shape in graph.input_spec.items()}
+        dtypes = self._spy(monkeypatch)
+        logits = graph.forward(inputs, Ctx(training=training, rng=rng))
+        focal_loss(ag.softmax(logits, axis=-1), [0, 2])
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_float64_block_stays_float64(self, monkeypatch, training):
+        from volformer.nn import BottleneckBlock, Ctx, ParamInit
+
+        block = BottleneckBlock(4, 2, ParamInit(0, np.float64), stride=2)
+        x = t64(np.random.default_rng(1).normal(size=(2, 4, 5, 5)))
+        dtypes = self._spy(monkeypatch)
+        block(x, Ctx(training=training))
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}

@@ -1,8 +1,10 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.cli import main
 from volformer.manifest import read_manifest
 
@@ -91,6 +93,15 @@ class TestErrorPaths:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["two", "0", "-1"])
+    def test_bad_thread_cap_exits_2(self, tmp_path, cohort_dir, monkeypatch, capsys, value):
+        monkeypatch.setenv("VOLFORMER_THREADS", value)
+        code = run("train", "--cohort", cohort_dir / "cohort.csv",
+                   "--volumes", cohort_dir / "volumes", "--out", tmp_path / "run",
+                   "--model-preset", "toy-2d-trf", "--parallel-folds", 2)
+        assert code == 2
+        assert "VOLFORMER_THREADS" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory, cohort_dir):
@@ -154,6 +165,35 @@ class TestTrainEvaluate:
         assert recorded == file_sha256(trained_dir / "manifest_train.json")
         for fname in ("predictions.csv", "roc.csv", "pr.csv", "confusion.csv"):
             assert (out / fname).exists()
+
+    def test_evaluate_ignores_stray_checkpoints(self, tmp_path, cohort_dir, trained_dir):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        shutil.copy(run_dir / "fold_0.vfwt", run_dir / "fold_7.vfwt")
+        out = tmp_path / "eval"
+        assert run("evaluate", "--snapshots", run_dir, "--cohort", cohort_dir / "cohort.csv",
+                   "--out", out, "--n-boot", 100) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["metadata"]["snapshots"] == [f"fold_{i}.vfwt" for i in range(4)]
+
+    def test_evaluate_rejects_partial_checkpoint(self, tmp_path, cohort_dir, trained_dir, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        state = load_checkpoint(run_dir / "fold_1.vfwt")
+        dropped = next(name for name in state if name.endswith("weight"))
+        del state[dropped]
+        save_checkpoint(run_dir / "fold_1.vfwt", state)
+        assert run("evaluate", "--snapshots", run_dir, "--cohort", cohort_dir / "cohort.csv",
+                   "--out", tmp_path / "eval", "--n-boot", 100) == 3
+        assert dropped in capsys.readouterr().err
+
+    def test_evaluate_requires_listed_checkpoints(self, tmp_path, cohort_dir, trained_dir, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        (run_dir / "fold_2.vfwt").unlink()
+        assert run("evaluate", "--snapshots", run_dir, "--cohort", cohort_dir / "cohort.csv",
+                   "--out", tmp_path / "eval", "--n-boot", 100) == 3
+        assert "fold_2.vfwt" in capsys.readouterr().err
 
     def test_curves_from_predictions(self, tmp_path, cohort_dir, trained_dir):
         eval_dir = tmp_path / "eval2"
