@@ -23,13 +23,13 @@ from .nn import (
     BottleneckBlock,
     Conv,
     Conv2Plus1dBlock,
-    CostRow,
-    Ctx,
     Linear,
     Module,
     ParamInit,
     Sequential,
     TransformerBlock,
+    cost_scope,
+    shape_pass,
 )
 from .nn.layers import EVAL_CTX, LayerNormModule
 
@@ -149,21 +149,6 @@ class SliceEncoder(Module):
         x = self.stages(x, ctx)
         return ag.global_avg_pool(x)
 
-    def trace(self, in_shape, prefix=""):
-        s, rows = self.stem.trace(in_shape, prefix + "stem.")
-        s, r = self.stem_bn.trace(s, prefix + "stem.")
-        rows += r
-        if self.spec.stem_pool:
-            sp = tuple((d + 2 - 3) // 2 + 1 for d in s[1:])
-            if min(sp) < 1:
-                raise ShapeError(f"{prefix}stem pool collapses extents {s}")
-            s = (s[0],) + sp
-            rows.append(CostRow(prefix + "stem.pool", "pool", 0, 0))
-        s, r = self.stages.trace(s, prefix + "stage")
-        rows += r
-        rows.append(CostRow(prefix + "gap", "pool", 0, 0))
-        return (s[0],), rows
-
 
 def resnet50(init=None, num_classes=1000, in_channels=3):
     """Canonical 50-layer bottleneck classifier (stem 64; stages 3/4/6/3)."""
@@ -181,30 +166,25 @@ def resnet50(init=None, num_classes=1000, in_channels=3):
         def forward(self, x, ctx=EVAL_CTX):
             return self.head(self.encoder(x, ctx), ctx)
 
-        def trace(self, in_shape, prefix=""):
-            s, rows = self.encoder.trace(in_shape, prefix + "encoder.")
-            s, r = self.head.trace(s, prefix + "head.")
-            return s, rows + r
-
     return _Classifier()
 
 
 class TransformerAggregator(Module):
     """Project per-slice features, add positional (and per-view) embeddings
     plus a learned class token, run transformer blocks, classify from the
-    final class-token state."""
+    final class-token state. Its own cost row is the ``embedding`` one: the
+    class token, positional table and view embeddings."""
+
+    kind = "embedding"
 
     def __init__(self, feature_dim, spec: AggregatorSpec, views, slice_counts,
                  num_classes, init):
         super().__init__()
         self.views = tuple(views)
-        self.slice_counts = dict(slice_counts)
-        self.total_tokens = sum(self.slice_counts[v] for v in self.views)
         d = spec.model_dim
-        self.spec = spec
         self.proj = Linear(feature_dim, d, init)
         self.cls_token = init.param((1, 1, d), "normal002")
-        self.pos = init.param((self.total_tokens + 1, d), "normal002")
+        self.pos = init.param((sum(slice_counts[v] for v in self.views) + 1, d), "normal002")
         if len(self.views) > 1:
             for v in self.views:
                 setattr(self, f"view_emb_{v}", init.param((d,), "normal002"))
@@ -230,36 +210,12 @@ class TransformerAggregator(Module):
         x = self.final_norm(x, ctx)
         return self.head(x[:, 0, :], ctx)
 
-    def trace(self, feature_dim, prefix=""):
-        rows = []
-        for v in self.views:
-            _, r = self.proj.trace((self.slice_counts[v], feature_dim), prefix + f"proj@{v}.")
-            if v != self.views[0]:
-                for row in r:
-                    row.params = 0
-            rows += r
-        d = self.spec.model_dim
-        rows.append(CostRow(prefix + "tokens", "embedding", 0,
-                            self.cls_token.size + self.pos.size
-                            + sum(getattr(self, f"view_emb_{v}").size
-                                  for v in self.views if len(self.views) > 1)))
-        shape = (self.total_tokens + 1, d)
-        shape, r = self.blocks.trace(shape, prefix + "block")
-        rows += r
-        shape, r = self.final_norm.trace(shape, prefix + "final.")
-        rows += r
-        _, r = self.head.trace((d,), prefix + "head.")
-        rows += r
-        return (self.head.out_features,), rows
-
 
 class FcAggregator(Module):
     """Flatten slice features slice-major, two FC layers with ReLU between."""
 
     def __init__(self, feature_dim, slice_count, hidden, num_classes, init):
         super().__init__()
-        self.feature_dim = feature_dim
-        self.slice_count = slice_count
         self.fc1 = Linear(slice_count * feature_dim, hidden, init)
         self.fc2 = Linear(hidden, num_classes, init)
 
@@ -267,11 +223,6 @@ class FcAggregator(Module):
         b, k, f = feats.shape
         flat = ag.reshape(feats, (b, k * f))  # row-major: slice index varies slowest
         return self.fc2(ag.relu(self.fc1(flat, ctx)), ctx)
-
-    def trace(self, feature_dim, prefix=""):
-        s, rows = self.fc1.trace((self.slice_count * feature_dim,), prefix + "fc1.")
-        s, r = self.fc2.trace(s, prefix + "fc2.")
-        return s, rows + r
 
 
 class BiLstmAggregator(Module):
@@ -288,11 +239,6 @@ class BiLstmAggregator(Module):
             raise ShapeError(f"aggregator built for {self.slice_count} slices, "
                              f"got {feats.shape[1]}")
         return self.head(self.lstm(feats, ctx), ctx)
-
-    def trace(self, feature_dim, prefix=""):
-        s, rows = self.lstm.trace((self.slice_count, feature_dim), prefix)
-        s, r = self.head.trace(s, prefix + "head.")
-        return s, rows + r
 
 
 class SlicewiseModel(Module):
@@ -341,7 +287,8 @@ class SlicewiseModel(Module):
         c = self.cfg.encoder.in_channels
         if c > 1:
             x = ag.concat([x] * c, axis=1)  # grayscale replicated across channels
-        feats = self.encoder_for(view)(x, ctx)
+        with cost_scope(f"encoder@{view}"):
+            feats = self.encoder_for(view)(x, ctx)
         feats = ag.reshape(feats, (b, k, self.feature_dim))
         return ag.reshape(feats, (k, self.feature_dim)) if unbatched else feats
 
@@ -362,31 +309,6 @@ class SlicewiseModel(Module):
         else:
             logits = self.aggregator(feats[self.cfg.views[0]], ctx)
         return ag.reshape(logits, (self.cfg.num_classes,)) if unbatched else logits
-
-    def trace(self, input_spec, prefix=""):
-        rows = []
-        f_dim = None
-        shared = self.cfg.family != "2d_trf_multiview_individual"
-        for i, v in enumerate(self.cfg.views):
-            k, h, w = input_spec[v]
-            enc = self.encoder_for(v)
-            label = f"{prefix}encoder@{v}." if shared else f"{prefix}encoder_{v}."
-            out, enc_rows = enc.trace((self.cfg.encoder.in_channels, h, w), label)
-            f_dim = out[0]
-            for row in enc_rows:
-                row.macs *= k  # shared weights applied once per slice
-                if shared and i > 0:
-                    row.params = 0
-            rows += enc_rows
-        if isinstance(self.aggregator, TransformerAggregator):
-            for v in self.cfg.views:
-                if input_spec[v][0] != self.cfg.slice_count[v]:
-                    raise ShapeError(
-                        f"aggregator positional table built for {self.cfg.slice_count[v]} "
-                        f"slices of view {v!r}, got {input_spec[v][0]}")
-        out, r = self.aggregator.trace(f_dim, prefix + "agg.")
-        rows += r
-        return out, rows
 
 
 class VolumetricModel(Module):
@@ -434,17 +356,6 @@ class VolumetricModel(Module):
         logits = self.head(ag.global_avg_pool(x), ctx)
         return ag.reshape(logits, (self.cfg.num_classes,)) if unbatched else logits
 
-    def trace(self, input_spec, prefix=""):
-        d, h, w = input_spec[self.cfg.views[0]]
-        s, rows = self.stem.trace((self.cfg.encoder.in_channels, d, h, w), prefix + "stem.")
-        s, r = self.stem_bn.trace(s, prefix + "stem.")
-        rows += r
-        s, r = self.stages.trace(s, prefix + "stage")
-        rows += r
-        rows.append(CostRow(prefix + "gap", "pool", 0, 0))
-        out, r = self.head.trace((s[0],), prefix + "head.")
-        return out, rows + r
-
 
 class _Factorized(Module):
     """(2+1)D stage block: factorized conv, norm, relu."""
@@ -457,19 +368,13 @@ class _Factorized(Module):
     def forward(self, x, ctx=EVAL_CTX):
         return ag.relu(self.bn(self.block(x, ctx), ctx))
 
-    def trace(self, in_shape, prefix=""):
-        s, rows = self.block.trace(in_shape, prefix)
-        s, r = self.bn.trace(s, prefix)
-        return s, rows + r
-
 
 @dataclass
 class ModelGraph:
-    """A built model: runnable module plus its shape-validated layer table."""
+    """A built, shape-validated model."""
 
     config: ModelConfig
     module: Module
-    layers: list
     seed: int
 
     @property
@@ -510,59 +415,9 @@ def build_model(cfg: ModelConfig, seed=0, dtype=np.float32) -> ModelGraph:
         module = VolumetricModel(cfg, init)
     else:
         module = SlicewiseModel(cfg, init)
-    out_shape, rows = module.trace(cfg.input_spec())
-    if out_shape != (cfg.num_classes,):
-        raise ShapeError(f"model traces to {out_shape}, expected ({cfg.num_classes},)")
+    out, _ = shape_pass(module, cfg.input_spec())
+    if out.shape != (cfg.num_classes,):
+        raise ShapeError(f"model outputs {out.shape}, expected ({cfg.num_classes},)")
     if cfg.init_mode == "weights_file":
         module.load_state_dict(load_checkpoint(cfg.weights_file))
-    return ModelGraph(config=cfg, module=module, layers=rows, seed=seed)
-
-
-# ------------------------------------------------------------------
-# operation-style entry points
-
-
-def forward_slicewise(graph: ModelGraph, volume_slices, view=None):
-    """Apply the shared encoder independently per slice: (k, H, W) -> (k, f)."""
-    if not isinstance(graph.module, SlicewiseModel):
-        raise ConfigError(f"family {graph.config.family} has no slice-wise encoder")
-    return graph.module.encode_slices(volume_slices, view)
-
-
-def aggregate_transformer(graph: ModelGraph, features):
-    """(k, f) slice features -> class logits via the transformer aggregator."""
-    agg = graph.module.aggregator
-    if not isinstance(agg, TransformerAggregator):
-        raise ConfigError("model does not use a transformer aggregator")
-    v = graph.config.views[0]
-    feats = features if isinstance(features, ag.Tensor) else ag.tensor(features)
-    unbatched = feats.ndim == 2
-    if unbatched:
-        feats = ag.reshape(feats, (1,) + feats.shape)
-    logits = agg({v: feats})
-    return ag.reshape(logits, (graph.config.num_classes,)) if unbatched else logits
-
-
-def aggregate_fc(graph: ModelGraph, features):
-    return _simple_aggregate(graph, features, FcAggregator)
-
-
-def aggregate_bilstm(graph: ModelGraph, features):
-    return _simple_aggregate(graph, features, BiLstmAggregator)
-
-
-def _simple_aggregate(graph, features, kind):
-    agg = graph.module.aggregator
-    if not isinstance(agg, kind):
-        raise ConfigError(f"model aggregator is {type(agg).__name__}, expected {kind.__name__}")
-    feats = features if isinstance(features, ag.Tensor) else ag.tensor(features)
-    unbatched = feats.ndim == 2
-    if unbatched:
-        feats = ag.reshape(feats, (1,) + feats.shape)
-    logits = agg(feats)
-    return ag.reshape(logits, (graph.config.num_classes,)) if unbatched else logits
-
-
-def multiview_forward(graph: ModelGraph, view_slices):
-    """Forward a {view: slices} mapping through a multi-view model."""
-    return graph.forward(dict(view_slices))
+    return ModelGraph(config=cfg, module=module, seed=seed)

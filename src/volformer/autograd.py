@@ -7,6 +7,13 @@ gradients into ``.grad`` of every reachable tensor that requires them.
 
 Convolutions follow the deep-learning convention (cross-correlation, no
 kernel flip). Storage is dense row-major only; there are no strided views.
+
+While a cost recorder is installed (``recorder``, set by
+``nn.shape_pass``), the ops an eval forward uses run shape-only: they check
+their operands as usual and return a data-free :func:`meta` tensor of the
+output shape, and ``conv_nd``/``matmul`` add their MACs to the recorder.
+``reshape``, ``transpose`` and ``getitem`` need no path of their own, as on
+a meta tensor they already return views.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from scipy.special import erf, expit
 from .errors import ConfigError, ShapeError, UsageError
 
 _grad_enabled = True
+recorder = None  # the cost recorder of a running shape-only pass, or None
 
 
 @contextlib.contextmanager
@@ -143,6 +151,20 @@ def tensor(data, requires_grad=False, dtype=None):
     return Tensor(arr, requires_grad=requires_grad)
 
 
+_ZERO = bytes(16)  # the one read-only element behind every meta tensor
+
+
+def meta(shape, dtype=np.float32):
+    """A data-free tensor: a read-only, zero-strided view of one element."""
+    return Tensor(np.ndarray(shape, dtype, _ZERO, 0, (0,) * len(shape)))
+
+
+def _meta_like(*ts):
+    """Meta tensor of the broadcast shape and promoted dtype of ``ts``."""
+    arrays = [t.data for t in ts]
+    return meta(np.broadcast(*arrays).shape, np.result_type(*arrays))
+
+
 def _as_tensor(x, like=None):
     """Wrap a constant as a Tensor: float64, or the dtype of the Tensor
     ``like`` it is combined with, so a float32 graph stays float32."""
@@ -177,6 +199,8 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _as_tensor(a, b), _as_tensor(b, a)
+    if recorder is not None:
+        return _meta_like(a, b)
     out_data = a.data + b.data
 
     def bw(out):
@@ -191,6 +215,8 @@ def add(a, b):
 
 def sub(a, b):
     a, b = _as_tensor(a, b), _as_tensor(b, a)
+    if recorder is not None:
+        return _meta_like(a, b)
     out_data = a.data - b.data
 
     def bw(out):
@@ -205,6 +231,8 @@ def sub(a, b):
 
 def mul(a, b):
     a, b = _as_tensor(a, b), _as_tensor(b, a)
+    if recorder is not None:
+        return _meta_like(a, b)
     out_data = a.data * b.data
 
     def bw(out):
@@ -219,6 +247,8 @@ def mul(a, b):
 
 def div(a, b):
     a, b = _as_tensor(a, b), _as_tensor(b, a)
+    if recorder is not None:
+        return _meta_like(a, b)
     out_data = a.data / b.data
 
     def bw(out):
@@ -268,6 +298,8 @@ def log(a):
 def clamp_min(a, lo):
     """max(a, lo) elementwise; subgradient 0 where clamped."""
     a = _as_tensor(a)
+    if recorder is not None:
+        return _meta_like(a)
     out_data = np.maximum(a.data, lo)
 
     def bw(out):
@@ -283,6 +315,8 @@ def relu(a):
 
 def sigmoid(a):
     a = _as_tensor(a)
+    if recorder is not None:
+        return _meta_like(a)
     out_data = expit(a.data)
 
     def bw(out):
@@ -294,6 +328,8 @@ def sigmoid(a):
 
 def tanh(a):
     a = _as_tensor(a)
+    if recorder is not None:
+        return _meta_like(a)
     out_data = np.tanh(a.data)
 
     def bw(out):
@@ -310,6 +346,8 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(a):
     """Exact (erf-form) GELU."""
     a = _as_tensor(a)
+    if recorder is not None:
+        return _meta_like(a)
     cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
     out_data = a.data * cdf
 
@@ -358,6 +396,10 @@ def tsum(a, axis=None, keepdims=False):
 
 def tmean(a, axis=None, keepdims=False):
     a = _as_tensor(a)
+    if recorder is not None:
+        axes = range(a.ndim) if axis is None else np.atleast_1d(axis) % a.ndim
+        return meta(tuple(1 if i in axes else n for i, n in enumerate(a.shape)
+                          if keepdims or i not in axes), a.dtype)
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size / out_data.size
 
@@ -409,6 +451,12 @@ def getitem(a, key):
 
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
+    if recorder is not None:
+        if len({t.shape[:axis] + t.shape[axis:][1:] for t in tensors}) > 1:
+            raise ShapeError(f"concat: shapes {[t.shape for t in tensors]} differ off axis {axis}")
+        shape = list(tensors[0].shape)
+        shape[axis] = sum(t.shape[axis] for t in tensors)
+        return meta(tuple(shape), np.result_type(*(t.dtype for t in tensors)))
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -446,6 +494,10 @@ def matmul(a, b):
         raise ShapeError(f"matmul expects >=2-D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner extents disagree: {a.shape} vs {b.shape}")
+    if recorder is not None:
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        recorder.add_macs(math.prod(shape) * a.shape[-1])
+        return meta(shape, np.result_type(a.dtype, b.dtype))
     out_data = a.data @ b.data
 
     def bw(out):
@@ -465,6 +517,8 @@ def matmul(a, b):
 def softmax(a, axis=-1):
     """Numerically safe softmax (max-subtraction before exponentiation)."""
     a = _as_tensor(a)
+    if recorder is not None:
+        return _meta_like(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
@@ -513,6 +567,8 @@ def layer_norm(x, gamma, beta, eps=1e-5, axis=-1):
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    if recorder is not None:
+        return _meta_like(x, gamma, beta)
     mu = x.data.mean(axis=axis, keepdims=True)
     var = x.data.var(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -633,6 +689,10 @@ def conv_nd(x, w, stride=1, padding=0):
     padding = _tuplize(padding, n, "padding")
     kernel = w.shape[2:]
     lout = _conv_out_extents(x.shape[2:], kernel, stride, padding)
+    if recorder is not None:
+        recorder.add_macs(x.shape[0] * math.prod(lout) * w.size)
+        out = meta((x.shape[0], w.shape[0]) + lout, np.result_type(x.dtype, w.dtype))
+        return reshape(out, out.shape[1:]) if unbatched else out
 
     cols = _im2col(x.data, kernel, stride, padding, lout)
     wmat = w.data.reshape(w.shape[0], -1)
@@ -658,14 +718,16 @@ def _pool_geometry(shape, window, stride, padding):
         if d + 2 * p < k:
             raise ConfigError(f"pool window {window} larger than padded input {shape}")
     lout = _conv_out_extents(shape[2:], window, stride, padding)
-    return padding, _window_slices(window, stride, lout)
+    return padding, lout, _window_slices(window, stride, lout)
 
 
 def max_pool_nd(x, window, stride=None, padding=0):
     """Window maximum; the gradient goes to the first maximal member in
     row-major window order (``argmax``'s tie rule)."""
     x = _as_tensor(x)
-    padding, slices = _pool_geometry(x.shape, window, stride, padding)
+    padding, lout, slices = _pool_geometry(x.shape, window, stride, padding)
+    if recorder is not None:
+        return meta(x.shape[:2] + lout, x.dtype)
     xp = _pad(x.data, padding, -np.inf)
     out_data = xp[slices[0][1]].copy()
     for _, sl in slices[1:]:
@@ -687,7 +749,7 @@ def max_pool_nd(x, window, stride=None, padding=0):
 def avg_pool_nd(x, window, stride=None, padding=0):
     """Window mean; zero padding counts toward the window size."""
     x = _as_tensor(x)
-    padding, slices = _pool_geometry(x.shape, window, stride, padding)
+    padding, _, slices = _pool_geometry(x.shape, window, stride, padding)
     xp = _pad(x.data, padding)
     out_data = xp[slices[0][1]].copy()
     for _, sl in slices[1:]:
@@ -704,24 +766,12 @@ def avg_pool_nd(x, window, stride=None, padding=0):
 
     return _make(out_data, (x,), bw)
 
+
 def global_avg_pool(x):
     """Mean over all spatial axes: (B, C, *S) -> (B, C)."""
     x = _as_tensor(x)
     axes = tuple(range(2, x.ndim))
     return tmean(x, axis=axes)
-
-
-def pool(x, kind, window=None, stride=None):
-    """Pooling dispatcher: kind in {'max', 'avg', 'global-avg'}."""
-    if kind == "global-avg":
-        return global_avg_pool(x)
-    if window is None:
-        raise ConfigError(f"pool kind {kind!r} requires a window")
-    if kind == "max":
-        return max_pool_nd(x, window, stride)
-    if kind == "avg":
-        return avg_pool_nd(x, window, stride)
-    raise ConfigError(f"unknown pool kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

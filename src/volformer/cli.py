@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +48,6 @@ from .volume import (
     AugmentPolicy,
     load_volume,
     preprocess,
-    read_volume_header,
     reproject,
     save_volume,
 )

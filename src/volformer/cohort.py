@@ -61,12 +61,16 @@ class ProgressionLabel:
     rule_trace: str
 
     def __post_init__(self):
+        m = self.event_month
         if self.progression_class == CLASS_FAST:
-            assert self.event_month is not None and self.event_month <= FAST_HORIZON
+            ok = m is not None and m <= FAST_HORIZON
         elif self.progression_class == CLASS_SLOW:
-            assert self.event_month is not None and FAST_HORIZON < self.event_month <= FOLLOWUP_HORIZON
+            ok = m is not None and FAST_HORIZON < m <= FOLLOWUP_HORIZON
         else:
-            assert self.event_month is None
+            ok = m is None
+        if not ok:
+            raise DataError(f"class {CLASS_NAMES.get(self.progression_class, self.progression_class)!r} "
+                            f"cannot have event month {m}")
 
 
 @dataclass

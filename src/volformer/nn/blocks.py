@@ -14,11 +14,11 @@ from .layers import (
     EVAL_CTX,
     BatchNorm,
     Conv,
-    CostRow,
     Dropout,
     LayerNormModule,
     Linear,
     Module,
+    cost_scope,
 )
 
 
@@ -39,19 +39,15 @@ class AttentionConfig:
             raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
 
 
-@dataclass
-class LstmState:
-    """Recurrent carry; shapes stay constant across time steps."""
-
-    hidden: object  # (B, hidden_dim) tensor
-    cell: object  # (B, hidden_dim) tensor
-
-
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over a token sequence, shape-preserving.
 
-    Accepts (B, L, d) or unbatched (L, d) token stacks.
+    Accepts (B, L, d) or unbatched (L, d) token stacks. Its cost rows are
+    ``attn_proj`` (the four projections) and ``attn_scores`` (the two L x L
+    products).
     """
+
+    kind = "attention"
 
     def __init__(self, cfg: AttentionConfig, init):
         super().__init__()
@@ -75,29 +71,16 @@ class MultiHeadAttention(Module):
         def split_heads(t):
             return ag.transpose(ag.reshape(t, (b, l, h, dh)), (0, 2, 1, 3))
 
-        q = split_heads(self.wq(tokens, ctx))
-        k = split_heads(self.wk(tokens, ctx))
-        v = split_heads(self.wv(tokens, ctx))
-        scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * scale
-        attn = ag.softmax(scores, axis=-1)
-        attn = self.drop(attn, ctx)
-        mixed = ag.matmul(attn, v)  # (B, h, L, dh)
+        with cost_scope("attn_proj", folded=True):
+            q, k, v = (split_heads(p(tokens, ctx)) for p in (self.wq, self.wk, self.wv))
+        with cost_scope("attn_scores", folded=True):
+            scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * scale
+            attn = self.drop(ag.softmax(scores, axis=-1), ctx)
+            mixed = ag.matmul(attn, v)  # (B, h, L, dh)
         merged = ag.reshape(ag.transpose(mixed, (0, 2, 1, 3)), (b, l, d))
-        out = self.wo(merged, ctx)
+        with cost_scope("attn_proj", folded=True):
+            out = self.wo(merged, ctx)
         return ag.reshape(out, (l, d)) if unbatched else out
-
-    def trace(self, in_shape, prefix=""):
-        l, d = in_shape[-2], in_shape[-1]
-        if d != self.cfg.model_dim:
-            raise ConfigError(f"{prefix}attention built for dim {self.cfg.model_dim}, got {in_shape}")
-        proj_macs = 4 * l * d * d
-        score_macs = 2 * l * l * d
-        params = sum(p.size for p in self.parameters())
-        rows = [
-            CostRow(prefix + "attn_proj", "attention", proj_macs, params),
-            CostRow(prefix + "attn_scores", "attention", score_macs, 0),
-        ]
-        return in_shape, rows
 
 
 class TransformerBlock(Module):
@@ -118,20 +101,6 @@ class TransformerBlock(Module):
         x = tokens + self.drop(self.attn(self.ln1(tokens, ctx), ctx), ctx)
         h = self.fc2(ag.gelu(self.fc1(self.ln2(x, ctx), ctx)), ctx)
         return x + self.drop(h, ctx)
-
-    def trace(self, in_shape, prefix=""):
-        rows = []
-        _, r = self.ln1.trace(in_shape, prefix + "ln1.")
-        rows += r
-        _, r = self.attn.trace(in_shape, prefix)
-        rows += r
-        _, r = self.ln2.trace(in_shape, prefix + "ln2.")
-        rows += r
-        s, r = self.fc1.trace(in_shape, prefix + "mlp1.")
-        rows += r
-        _, r = self.fc2.trace(s, prefix + "mlp2.")
-        rows += r
-        return in_shape, rows
 
 
 class BottleneckBlock(Module):
@@ -177,31 +146,6 @@ class BottleneckBlock(Module):
         out = ag.relu(out + skip)
         return ag.reshape(out, out.shape[1:]) if unbatched else out
 
-    def trace(self, in_shape, prefix=""):
-        rows = []
-        s, r = self.conv1.trace(in_shape, prefix + "c1.")
-        rows += r
-        s, r2 = self.bn1.trace(s, prefix + "c1.")
-        rows += r2
-        s, r = self.conv2.trace(s, prefix + "c2.")
-        rows += r
-        s, r2 = self.bn2.trace(s, prefix + "c2.")
-        rows += r2
-        s, r = self.conv3.trace(s, prefix + "c3.")
-        rows += r
-        s, r2 = self.bn3.trace(s, prefix + "c3.")
-        rows += r2
-        if self.proj is not None:
-            ps, r = self.proj.trace(in_shape, prefix + "proj.")
-            rows += r
-            _, r2 = self.proj_bn.trace(ps, prefix + "proj.")
-            rows += r2
-            if ps != s:
-                raise ConfigError(f"{prefix}skip projection shape {ps} != main path {s}")
-        elif in_shape != s:
-            raise ConfigError(f"{prefix}identity skip needs matching shapes: {in_shape} vs {s}")
-        return s, rows
-
 
 class BiLSTM(Module):
     """Single-layer bidirectional LSTM returning concatenated terminal states.
@@ -211,9 +155,10 @@ class BiLSTM(Module):
     of the first element. Output dim is 2 * hidden_dim.
     """
 
+    kind = "lstm"
+
     def __init__(self, input_dim, hidden_dim, init):
         super().__init__()
-        self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         for tag in ("fw", "bw"):
             setattr(self, f"w_ih_{tag}", init.param((input_dim, 4 * hidden_dim), "xavier_uniform",
@@ -227,18 +172,16 @@ class BiLSTM(Module):
         w_ih = getattr(self, f"w_ih_{tag}").tensor
         w_hh = getattr(self, f"w_hh_{tag}").tensor
         bias = getattr(self, f"bias_{tag}").tensor
-        b = steps[0].shape[0]
-        state = LstmState(hidden=ag.tensor(np.zeros((b, h), dtype=steps[0].dtype)),
-                          cell=ag.tensor(np.zeros((b, h), dtype=steps[0].dtype)))
+        hidden = cell = ag.tensor(np.zeros((steps[0].shape[0], h), dtype=steps[0].dtype))
         for x_t in steps:
-            gates = ag.matmul(x_t, w_ih) + ag.matmul(state.hidden, w_hh) + bias
+            gates = ag.matmul(x_t, w_ih) + ag.matmul(hidden, w_hh) + bias
             i = ag.sigmoid(gates[:, 0 * h:1 * h])
             f = ag.sigmoid(gates[:, 1 * h:2 * h])
             g = ag.tanh(gates[:, 2 * h:3 * h])
             o = ag.sigmoid(gates[:, 3 * h:4 * h])
-            cell = f * state.cell + i * g
-            state = LstmState(hidden=o * ag.tanh(cell), cell=cell)
-        return state.hidden
+            cell = f * cell + i * g
+            hidden = o * ag.tanh(cell)
+        return hidden
 
     def forward(self, seq, ctx=EVAL_CTX):
         unbatched = seq.ndim == 2
@@ -252,14 +195,6 @@ class BiLSTM(Module):
         bw = self._run(steps[::-1], "bw", ctx)
         out = ag.concat([fw, bw], axis=1)
         return ag.reshape(out, (2 * self.hidden_dim,)) if unbatched else out
-
-    def trace(self, in_shape, prefix=""):
-        k, f = in_shape[-2], in_shape[-1]
-        if f != self.input_dim:
-            raise ConfigError(f"{prefix}bilstm expects feature dim {self.input_dim}, got {in_shape}")
-        macs = 2 * k * 4 * (f + self.hidden_dim) * self.hidden_dim
-        params = sum(p.size for p in self.parameters())
-        return (2 * self.hidden_dim,), [CostRow(prefix + "bilstm", "lstm", macs, params)]
 
 
 def factorized_mid_width(in_channels, out_channels, spatial_kernel=3, depth_kernel=3):
@@ -301,11 +236,3 @@ class Conv2Plus1dBlock(Module):
             x = ag.reshape(x, (1,) + x.shape)
         out = self.depth(ag.relu(self.bn_mid(self.spatial(x, ctx), ctx)), ctx)
         return ag.reshape(out, out.shape[1:]) if unbatched else out
-
-    def trace(self, in_shape, prefix=""):
-        s, rows = self.spatial.trace(in_shape, prefix + "spatial.")
-        s, r = self.bn_mid.trace(s, prefix + "spatial.")
-        rows += r
-        s, r = self.depth.trace(s, prefix + "depth.")
-        rows += r
-        return s, rows

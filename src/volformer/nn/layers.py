@@ -1,13 +1,19 @@
 """Parameterized layers on top of the autograd engine.
 
 Parameters are materialized lazily from per-parameter seed streams, so
-building a graph is cheap no matter the scale and the analytic cost counters
-never touch parameter values. Materialization order does not affect the
-values: each parameter owns its own child seed of the build seed.
+building a graph is cheap no matter the scale. Materialization order does
+not affect the values: each parameter owns its own child seed of the build
+seed.
+
+:func:`shape_pass` runs a module's real forward once, shape-only, and returns
+its cost rows: one per module path, holding the MACs of the ``conv_nd`` and
+``matmul`` calls made there and the sizes of the parameters first used
+there. It never materializes a parameter.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -51,10 +57,12 @@ class Parameter:
 
     @property
     def size(self):
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
     @property
     def tensor(self) -> Tensor:
+        if ag.recorder is not None:
+            return ag.recorder.parameter(self)
         if self._tensor is None:
             self._tensor = Tensor(self._init_data(), requires_grad=True)
         return self._tensor
@@ -97,7 +105,10 @@ class ParamInit:
 
 
 class Module:
-    """Composable layer with named parameters, buffers and children."""
+    """Composable layer with named parameters, buffers and children;
+    ``kind`` labels the cost row of its own ops and parameters."""
+
+    kind = "other"
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
@@ -183,14 +194,96 @@ class Module:
         return (mod, parts[-1]) if parts[-1] in mod._buffers else None
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        if ag.recorder is None:
+            return self.forward(*args, **kwargs)
+        with ag.recorder.enter(self):
+            return self.forward(*args, **kwargs)
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 
-    def trace(self, in_shape, prefix=""):
-        """Shape-propagate without running; returns (out_shape, [CostRow])."""
-        raise NotImplementedError
+
+class CostRecorder:
+    """MACs and parameter counts of one shape-only pass, by module path.
+
+    A frame is (path, kind, module, folded). Calling a module opens a frame
+    named by the module's attribute in its caller; ``conv_nd``/``matmul``
+    MACs, and each parameter's size at its first use, count into the row of
+    the innermost frame. A row is made at its first nonzero count.
+    """
+
+    def __init__(self):
+        self.rows = {}  # path -> CostRow
+        self.frames = [("", Module.kind, None, False)]
+        self._counted = set()
+
+    def _row(self):
+        path, kind = self.frames[-1][:2]
+        if path not in self.rows:
+            self.rows[path] = CostRow(path, kind, 0, 0)
+        return self.rows[path]
+
+    def add_macs(self, n):
+        self._row().macs += n
+
+    def parameter(self, p):
+        """Count ``p`` where it is first used; hand out a meta tensor."""
+        if p not in self._counted:
+            self._counted.add(p)
+            self._row().params += p.size
+        return ag.meta(p.shape, p.dtype)
+
+    @contextlib.contextmanager
+    def frame(self, path, kind, module, folded):
+        self.frames.append((path, kind, module, folded))
+        try:
+            yield
+        finally:
+            self.frames.pop()
+
+    def enter(self, module):
+        """The frame of a call to ``module``: a folded caller's own frame;
+        else the caller's path, plus the module's attribute name when the
+        caller is a module (not the root or a :func:`cost_scope`)."""
+        path, kind, caller, folded = self.frames[-1]
+        if not folded:
+            kind = module.kind
+            if caller is not None:
+                name = next((n for n, m in caller._modules.items() if m is module),
+                            type(module).__name__)
+                path = f"{path}.{name}" if path else name
+        return self.frame(path, kind, module, folded)
+
+
+@contextlib.contextmanager
+def cost_scope(name, folded=False):
+    """During a shape-only pass, open row ``name`` under the current one: a
+    folded scope counts everything run inside it, modules included, into
+    that row; an unfolded one names the next module called inside it.
+    Does nothing otherwise."""
+    rec = ag.recorder
+    if rec is None:
+        yield
+        return
+    path, kind = rec.frames[-1][:2]
+    with rec.frame(f"{path}.{name}" if path else name, kind, None, folded):
+        yield
+
+
+def shape_pass(module, inputs):
+    """One shape-only, eval-mode, no-grad run of ``module`` on data-free
+    inputs; ``inputs`` is a shape or a dict of shapes (one per view).
+    Returns the output, a meta tensor, and the list of CostRows."""
+    rec = CostRecorder()
+    prev, ag.recorder = ag.recorder, rec
+    try:
+        with ag.no_grad():
+            x = ({k: ag.meta(s) for k, s in inputs.items()} if isinstance(inputs, dict)
+                 else ag.meta(inputs))
+            out = module(x, EVAL_CTX)
+    finally:
+        ag.recorder = prev
+    return out, list(rec.rows.values())
 
 
 class Sequential(Module):
@@ -205,19 +298,12 @@ class Sequential(Module):
             x = m(x, ctx)
         return x
 
-    def trace(self, in_shape, prefix=""):
-        rows = []
-        for i, m in enumerate(self.items):
-            in_shape, r = m.trace(in_shape, f"{prefix}{i}.")
-            rows.extend(r)
-        return in_shape, rows
-
 
 class Linear(Module):
+    kind = "linear"
+
     def __init__(self, in_features, out_features, init, bias=True):
         super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = init.param((in_features, out_features), "xavier_uniform",
                                  fan_in=in_features, fan_out=out_features)
         self.bias = init.param((out_features,), "zeros") if bias else None
@@ -228,27 +314,19 @@ class Linear(Module):
             y = y + self.bias.tensor
         return y
 
-    def trace(self, in_shape, prefix=""):
-        if in_shape[-1] != self.in_features:
-            raise ShapeError(f"{prefix}linear expects last dim {self.in_features}, got {in_shape}")
-        out_shape = in_shape[:-1] + (self.out_features,)
-        macs = int(np.prod(in_shape[:-1], dtype=np.int64)) * self.in_features * self.out_features
-        params = self.weight.size + (self.bias.size if self.bias else 0)
-        return out_shape, [CostRow(prefix + "linear", "linear", macs, params)]
-
 
 class Conv(Module):
     """N-d convolution layer (cross-correlation), bias-free by default."""
+
+    kind = "conv"
 
     def __init__(self, in_channels, out_channels, kernel, init, stride=1, padding=0,
                  dims=2, bias=False):
         super().__init__()
         self.dims = dims
         kernel = kernel if isinstance(kernel, tuple) else (kernel,) * dims
-        self.kernel = kernel
         self.stride = stride if isinstance(stride, tuple) else (stride,) * dims
         self.padding = padding if isinstance(padding, tuple) else (padding,) * dims
-        self.in_channels = in_channels
         self.out_channels = out_channels
         fan_in = in_channels * int(np.prod(kernel))
         self.weight = init.param((out_channels, in_channels) + kernel, "he_normal", fan_in=fan_in)
@@ -261,25 +339,6 @@ class Conv(Module):
             y = y + b
         return y
 
-    def out_extents(self, spatial):
-        out = []
-        for d, k, s, p in zip(spatial, self.kernel, self.stride, self.padding):
-            e = (d + 2 * p - k) // s + 1
-            if e < 1:
-                raise ShapeError(f"conv over spatial {spatial} with kernel {self.kernel} "
-                                 f"stride {self.stride} padding {self.padding} yields extent < 1")
-            out.append(e)
-        return tuple(out)
-
-    def trace(self, in_shape, prefix=""):
-        if in_shape[0] != self.in_channels:
-            raise ShapeError(f"{prefix}conv expects {self.in_channels} channels, got {in_shape}")
-        out_sp = self.out_extents(in_shape[1:])
-        macs = (int(np.prod(self.kernel)) * self.in_channels * self.out_channels
-                * int(np.prod(out_sp, dtype=np.int64)))
-        params = self.weight.size + (self.bias.size if self.bias else 0)
-        return (self.out_channels,) + out_sp, [CostRow(prefix + "conv", "conv", macs, params)]
-
 
 class BatchNorm(Module):
     """Batch normalization with running statistics (momentum 0.1).
@@ -287,6 +346,8 @@ class BatchNorm(Module):
     Training mode normalizes with batch statistics over (batch, spatial) and
     updates the running estimates; eval mode uses the frozen running values.
     """
+
+    kind = "norm"
 
     def __init__(self, channels, init, dims=2, eps=1e-5, momentum=0.1):
         super().__init__()
@@ -316,23 +377,18 @@ class BatchNorm(Module):
         shift = ag.reshape(self.beta.tensor, bshape) - scale * rm.astype(x.dtype)
         return x * scale + shift
 
-    def trace(self, in_shape, prefix=""):
-        return in_shape, [CostRow(prefix + "bn", "norm", 0, self.gamma.size + self.beta.size)]
-
 
 class LayerNormModule(Module):
+    kind = "norm"
+
     def __init__(self, dim, init, eps=1e-5):
         super().__init__()
-        self.dim = dim
         self.eps = eps
         self.gamma = init.param((dim,), "ones")
         self.beta = init.param((dim,), "zeros")
 
     def forward(self, x, ctx=EVAL_CTX):
         return ag.layer_norm(x, self.gamma.tensor, self.beta.tensor, self.eps, axis=-1)
-
-    def trace(self, in_shape, prefix=""):
-        return in_shape, [CostRow(prefix + "ln", "norm", 0, 2 * self.dim)]
 
 
 class Dropout(Module):
@@ -346,6 +402,3 @@ class Dropout(Module):
         if ctx.rng is None:
             raise ConfigError("training-mode dropout requires a ctx rng")
         return ag.dropout(x, self.rate, ctx.rng)
-
-    def trace(self, in_shape, prefix=""):
-        return in_shape, []

@@ -1,13 +1,15 @@
 """Analytic MACs / parameter counting over model graphs plus a wall-clock
 single-sample inference timer.
 
-Counting conventions (noted in every report so comparisons stay
-apples-to-apples): convolutions cost kernel-volume x C_in x C_out x output
-voxels, linear layers in x out per application, attention 4*L*d^2 for the
-projections plus 2*L^2*d for score/value products (emitted as separate rows
-so either convention is recoverable); norms, activations and pooling count
-as zero. Counts are pure functions of shapes and never touch parameter
-values.
+Counts come from one shape-only, eval-mode forward of the real model
+(``nn.shape_pass``): only ``conv_nd`` and ``matmul`` cost MACs, taken from
+their operand shapes (kernel volume x C_in x C_out per output voxel; the
+product of the output extents x the inner extent). Norms, activations and
+pooling count as zero. Rows follow the module path, with the slice encoder
+under ``encoder@<view>.``; attention splits into ``attn_proj`` (the four
+projections) and ``attn_scores`` (the two L x L products), so either
+convention is recoverable. Each parameter counts once, in the row where it
+is first used, and no parameter value is ever read or made.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .architectures import ModelGraph
 from .errors import ConfigError
+from .nn import shape_pass
 
 
 @dataclass
@@ -59,9 +62,10 @@ def _reconciliation_notes(graph: ModelGraph):
 
 
 def count_macs(graph: ModelGraph, input_spec=None) -> CostReport:
-    """Per-layer multiply-accumulate counts for the given input shapes."""
+    """Per-module multiply-accumulate and parameter counts of one
+    shape-only forward at the given input shapes."""
     spec = dict(input_spec) if input_spec else graph.input_spec
-    _, rows = graph.module.trace(spec)
+    _, rows = shape_pass(graph.module, spec)
     return CostReport(
         rows=rows,
         total_macs=sum(r.macs for r in rows),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import CLASS_FAST, CLASS_NONE, CLASS_SLOW, KneeRecord, derive_label
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .volume import Volume
 
 # reference cohort composition: 3551 non-progressors, 941 fast and
@@ -147,8 +147,8 @@ def synth_generate(n_subjects, seed, spec: SynthSpec = None, out_dir=None,
                 subject_id=subject_id, side=side, institution_id=institution,
                 age=age, sex=sex, bmi=bmi, tka_baseline=False, klg_by_month=klg)
             derived = derive_label(record)
-            assert getattr(derived, "progression_class", None) == label, \
-                f"generator produced inconsistent trajectory for {record.knee_id}"
+            if getattr(derived, "progression_class", None) != label:
+                raise DataError(f"generator produced inconsistent trajectory for {record.knee_id}")
             records.append(record)
             if not with_volumes:
                 continue

@@ -11,7 +11,7 @@ within 2%.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -60,7 +60,6 @@ class Volume:
 class SliceStack:
     view: str
     slices: np.ndarray  # (k, H, W)
-    provenance: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.view not in VIEW_AXES:
@@ -225,7 +224,7 @@ def reproject(volume: Volume, view) -> Volume:
     return Volume(resampled, (s, s, spacing[2]))
 
 
-def extract_slices(volume: Volume, view, count=None, provenance=None) -> SliceStack:
+def extract_slices(volume: Volume, view, count=None) -> SliceStack:
     """All (or ``count`` evenly sampled) slices along the slice axis.
 
     The volume must already be oriented for the view (see ``reproject``).
@@ -238,7 +237,7 @@ def extract_slices(volume: Volume, view, count=None, provenance=None) -> SliceSt
         idx = np.linspace(0, k - 1, count).round().astype(int)
         vox = vox[:, :, idx]
     slices = np.ascontiguousarray(np.moveaxis(vox, 2, 0))
-    return SliceStack(view=view, slices=slices, provenance=list(provenance or []))
+    return SliceStack(view=view, slices=slices)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +295,7 @@ def augment(stack: SliceStack, rng, policy: AugmentPolicy = None) -> SliceStack:
     function of (stack, rng state, policy)."""
     policy = (policy or AugmentPolicy()).validate()
     if policy.is_identity:
-        return SliceStack(stack.view, stack.slices.copy(),
-                          stack.provenance + ["augment:identity"])
+        return SliceStack(stack.view, stack.slices.copy())
     h, w = stack.slices.shape[1:]
     max_dy = int(policy.max_shift_frac * h)
     max_dx = int(policy.max_shift_frac * w)
@@ -313,5 +311,4 @@ def augment(stack: SliceStack, rng, policy: AugmentPolicy = None) -> SliceStack:
     if gamma != 1.0 or out.dtype != stack.slices.dtype:
         norm = np.clip(out.astype(np.float64) / 255.0, 0.0, 1.0) ** gamma
         out = np.round(norm * 255.0).astype(np.uint8)
-    return SliceStack(stack.view, out,
-                      stack.provenance + [f"augment:dy={dy},dx={dx},rot={angle:.2f},gamma={gamma:.3f}"])
+    return SliceStack(stack.view, out)

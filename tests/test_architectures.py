@@ -3,13 +3,12 @@ import pytest
 
 from volformer import autograd as ag
 from volformer.architectures import (
+    BiLstmAggregator,
+    FcAggregator,
     ModelConfig,
-    aggregate_bilstm,
-    aggregate_fc,
-    aggregate_transformer,
+    SlicewiseModel,
+    TransformerAggregator,
     build_model,
-    forward_slicewise,
-    multiview_forward,
     resnet50,
 )
 from volformer.checkpoint import save_checkpoint
@@ -112,20 +111,20 @@ class TestForwardSlicewise:
         rng = np.random.default_rng(1)
         slices = rng.random((4, 24, 24)).astype(np.float32)
         slices[2] = slices[0]
-        feats = forward_slicewise(graph, slices).data
+        feats = graph.module.encode_slices(slices).data
         np.testing.assert_array_equal(feats[2], feats[0])
         assert not np.array_equal(feats[1], feats[0])
 
     def test_output_shape_is_k_by_final_width(self):
         cfg = toy_config("2d_trf", slice_count=6)
         graph = build_model(cfg, seed=4)
-        feats = forward_slicewise(graph, np.zeros((6, 24, 24), np.float32))
+        feats = graph.module.encode_slices(np.zeros((6, 24, 24), np.float32))
         assert feats.shape == (6, cfg.encoder.feature_dim)
 
     def test_slice_count_mismatch_rejected(self):
         graph = build_model(toy_config("2d_trf", slice_count=4), seed=5)
         with pytest.raises(ShapeError, match="expects 4 slices"):
-            forward_slicewise(graph, np.zeros((5, 24, 24), np.float32))
+            graph.module.encode_slices(np.zeros((5, 24, 24), np.float32))
 
     def test_batch_equals_per_slice_loop(self):
         graph = build_model(toy_config("2d_trf", slice_count=5), seed=6)
@@ -133,7 +132,7 @@ class TestForwardSlicewise:
         batch = rng.random((3, 5, 24, 24)).astype(np.float32)
         with ag.no_grad():
             batched = graph.module.encode_slices(ag.tensor(batch)).data
-        singles = np.stack([forward_slicewise(graph, batch[i]).data for i in range(3)])
+        singles = np.stack([graph.module.encode_slices(batch[i]).data for i in range(3)])
         np.testing.assert_allclose(batched, singles, atol=1e-5)
 
 
@@ -147,17 +146,17 @@ class TestAggregators:
             block.fc2.weight.tensor.data[:] = 0.0
             block.fc2.bias.tensor.data[:] = 0.0
         rng = np.random.default_rng(3)
-        l1 = aggregate_transformer(graph, rng.random((4, 32)).astype(np.float32)).data
-        l2 = aggregate_transformer(graph, rng.random((4, 32)).astype(np.float32)).data
+        l1 = agg({"sag": ag.tensor(rng.random((1, 4, 32), np.float32))}).data
+        l2 = agg({"sag": ag.tensor(rng.random((1, 4, 32), np.float32))}).data
         np.testing.assert_allclose(l1, l2, atol=1e-6)
-        assert l1.shape == (3,)
+        assert l1.shape == (1, 3)
 
     def test_logits_always_length_three(self):
-        for fam, fn in [("2d_trf", aggregate_transformer), ("2d_fc", aggregate_fc),
-                        ("2d_bilstm", aggregate_bilstm)]:
-            graph = build_model(toy_config(fam, slice_count=4), seed=8)
-            out = fn(graph, np.zeros((4, 32), np.float32))
-            assert out.shape == (3,)
+        feats = ag.tensor(np.zeros((1, 4, 32), np.float32))
+        for fam in ("2d_trf", "2d_fc", "2d_bilstm"):
+            agg = build_model(toy_config(fam, slice_count=4), seed=8).module.aggregator
+            out = agg({"sag": feats}) if fam == "2d_trf" else agg(feats)
+            assert out.shape == (1, 3)
 
     def test_fc_flatten_is_slice_major(self):
         graph = build_model(toy_config("2d_fc", slice_count=3), seed=9)
@@ -172,12 +171,14 @@ class TestAggregators:
     def test_bilstm_rejects_wrong_slice_count(self):
         graph = build_model(toy_config("2d_bilstm", slice_count=4), seed=10)
         with pytest.raises(ShapeError, match="built for 4 slices"):
-            aggregate_bilstm(graph, np.zeros((6, 32), np.float32))
+            graph.module.aggregator(ag.tensor(np.zeros((1, 6, 32), np.float32)))
 
     def test_aggregate_requires_matching_kind(self):
-        graph = build_model(toy_config("2d_fc", slice_count=4), seed=11)
-        with pytest.raises(ConfigError):
-            aggregate_transformer(graph, np.zeros((4, 32), np.float32))
+        kinds = {"2d_trf": TransformerAggregator, "2d_fc": FcAggregator,
+                 "2d_bilstm": BiLstmAggregator}
+        for fam, kind in kinds.items():
+            graph = build_model(toy_config(fam, slice_count=4), seed=11)
+            assert type(graph.module.aggregator) is kind
 
 
 class TestMultiview:
@@ -185,7 +186,7 @@ class TestMultiview:
         graph = build_model(toy_config("2d_trf_multiview_shared", slice_count=4), seed=12)
         x = np.zeros((4, 24, 24), np.float32)
         with pytest.raises(ShapeError, match="ax"):
-            multiview_forward(graph, {"sag": x, "cor": x})
+            graph.forward({"sag": x, "cor": x})
 
     def test_shared_encoder_identical_tokens_before_view_embedding(self):
         graph = build_model(toy_config("2d_trf_multiview_shared", slice_count=4), seed=13)
@@ -209,7 +210,7 @@ class TestMultiview:
     def test_forward_shape(self):
         graph = build_model(toy_config("2d_trf_multiview_individual", slice_count=4), seed=15)
         x = np.random.default_rng(6).random((2, 4, 24, 24)).astype(np.float32)
-        logits = multiview_forward(graph, {v: x for v in ("sag", "cor", "ax")})
+        logits = graph.forward({v: x for v in ("sag", "cor", "ax")})
         assert logits.shape == (2, 3)
 
 
@@ -283,8 +284,8 @@ class TestVolumetricFamilies:
 
     def test_no_slicewise_encoder(self):
         graph = build_model(toy_volumetric_config("conv3d", dims=(8, 16, 16)), seed=23)
-        with pytest.raises(ConfigError, match="slice-wise"):
-            forward_slicewise(graph, np.zeros((8, 16, 16), np.float32))
+        assert not isinstance(graph.module, SlicewiseModel)
+        assert not hasattr(graph.module, "encode_slices")
 
 
 class TestResnet50:

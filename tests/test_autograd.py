@@ -4,6 +4,7 @@ from scipy.signal import correlate
 
 from volformer import autograd as ag
 from volformer.errors import ConfigError, ShapeError, UsageError
+from volformer.nn.layers import CostRecorder
 
 from gradcheck import assert_grads_match
 
@@ -230,15 +231,15 @@ class TestLayerNorm:
 class TestPool:
     def test_global_avg(self):
         x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
-        assert ag.pool(x, "global-avg").item() == pytest.approx(2.5)
+        assert ag.global_avg_pool(x).item() == pytest.approx(2.5)
 
     def test_max_pool(self):
         x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
-        assert ag.pool(x, "max", window=2, stride=2).item() == pytest.approx(4.0)
+        assert ag.max_pool_nd(x, window=2, stride=2).item() == pytest.approx(4.0)
 
     def test_avg_pool_grad_uniform(self):
         x = t64(np.arange(16.0).reshape(1, 1, 4, 4))
-        y = ag.pool(x, "avg", window=2, stride=2)
+        y = ag.avg_pool_nd(x, window=2, stride=2)
         ag.backward(y.sum())
         np.testing.assert_allclose(x.grad, 0.25)
 
@@ -250,8 +251,8 @@ class TestPool:
     def test_pool_grads_match_finite_differences(self, seed):
         rng = np.random.default_rng(500 + seed)
         x = t64(rng.normal(size=(1, 2, 6, 6)))
-        kind = ["max", "avg"][seed % 2]
-        assert_grads_match(lambda: (ag.pool(x, kind, window=3, stride=2) ** 2).sum(), [x])
+        pool = [ag.max_pool_nd, ag.avg_pool_nd][seed % 2]
+        assert_grads_match(lambda: (pool(x, window=3, stride=2) ** 2).sum(), [x])
 
     def test_max_pool_with_padding_grads(self):
         rng = np.random.default_rng(42)
@@ -373,6 +374,63 @@ class TestElementwiseOps:
         with ag.no_grad():
             y = (x * 2.0).sum()
         assert not y.requires_grad
+
+
+class TestShapeOnly:
+    """Under a cost recorder, ops return data-free tensors whose shape and
+    dtype are those of the real op's result, and fail as the real op does."""
+
+    @staticmethod
+    def _both(monkeypatch, fn, shapes):
+        rng = np.random.default_rng(0)
+        reals = [ag.tensor(rng.random(s, dtype=np.float32)) for s in shapes]
+        monkeypatch.setattr(ag, "recorder", CostRecorder())
+        return reals, [ag.meta(s) for s in shapes]
+
+    @pytest.mark.parametrize("fn, shapes", [
+        (ag.add, [(2, 1, 4), (3, 1)]),
+        (ag.sub, [(2, 3), (3,)]),
+        (ag.mul, [(1, 3), (2, 1)]),
+        (ag.div, [(2, 3), ()]),
+        (lambda a: ag.clamp_min(a, 0.0), [(2, 3)]),
+        (ag.sigmoid, [(4,)]),
+        (ag.tanh, [(4,)]),
+        (ag.gelu, [(2, 4)]),
+        (lambda a: ag.softmax(a, axis=0), [(2, 5)]),
+        (lambda a: ag.tmean(a, (0, -1), True), [(2, 3, 4)]),
+        (ag.global_avg_pool, [(2, 3, 4, 5)]),
+        (lambda a, b: ag.concat([a, b], axis=-1), [(2, 3), (2, 4)]),
+        (ag.matmul, [(5, 2, 3), (3, 4)]),
+        (lambda x, g, b: ag.layer_norm(x, g, b), [(2, 4), (4,), (4,)]),
+        (lambda x, w: ag.conv_nd(x, w, stride=2, padding=1), [(2, 3, 9, 8), (4, 3, 3, 3)]),
+        (ag.conv_nd, [(3, 6), (2, 3, 2)]),  # unbatched 1-D
+        (lambda a: ag.max_pool_nd(a, 3, stride=2, padding=1), [(1, 2, 7, 6)]),
+        (lambda a: ag.reshape(a, (3, -1)), [(2, 3, 2)]),
+        (lambda a: ag.transpose(a, (1, 0, 2)), [(2, 3, 4)]),
+        (lambda a: a[:, 1, 0:2], [(2, 3, 4)]),
+    ])
+    def test_matches_real_op(self, monkeypatch, fn, shapes):
+        reals, metas = self._both(monkeypatch, fn, shapes)
+        out = fn(*metas)
+        monkeypatch.setattr(ag, "recorder", None)
+        real = fn(*reals)
+        assert (out.shape, out.dtype) == (real.shape, real.dtype)
+        assert out.data.strides == (0,) * out.ndim
+
+    @pytest.mark.parametrize("fn, shapes", [
+        (ag.conv_nd, [(1, 1, 2, 2), (1, 1, 3, 3)]),
+        (ag.conv_nd, [(1, 2, 5, 5), (1, 3, 3, 3)]),
+        (ag.matmul, [(2, 3), (4, 2)]),
+        (ag.add, [(2, 3), (4,)]),
+        (lambda a: ag.max_pool_nd(a, 3), [(1, 1, 2, 2)]),
+    ])
+    def test_fails_as_real_op(self, monkeypatch, fn, shapes):
+        reals, metas = self._both(monkeypatch, fn, shapes)
+        with pytest.raises(Exception) as meta_err:
+            fn(*metas)
+        monkeypatch.setattr(ag, "recorder", None)
+        with pytest.raises(meta_err.type):
+            fn(*reals)
 
 
 class TestDtype:

@@ -222,6 +222,17 @@ class TestProfileCommand:
         assert report["notes"]["macs_convention"].startswith("norm/activation/pool")
         assert len(report["rows"]) > 50
 
+    @pytest.mark.parametrize("preset", ["toy-2d-fc", "toy-2d-bilstm", "toy-2d-trf"])
+    def test_input_with_unbuilt_slice_count_exits_2(self, tmp_path, preset):
+        out = tmp_path / "report.json"
+        assert run("profile", "--preset", preset, "--input", "16,24,24", "--out", out) == 2
+        assert not out.exists()
+
+    def test_input_override_counts_the_real_forward(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run("profile", "--preset", "toy-conv3d", "--input", "16,24,24", "--out", out) == 0
+        assert json.loads(out.read_text())["total_macs"] == 12_091_488
+
     def test_profile_with_timing(self, tmp_path):
         out = tmp_path / "timed.json"
         assert run("profile", "--preset", "toy-2d-trf", "--time", "--out", out) == 0

@@ -126,6 +126,12 @@ class TestDeriveLabelExhaustive:
                 else:
                     assert label.event_month is None
 
+    @pytest.mark.parametrize("cls, month", [(CLASS_FAST, None), (CLASS_FAST, 96),
+                                            (CLASS_SLOW, 72), (CLASS_NONE, 24)])
+    def test_inconsistent_label_raises(self, cls, month):
+        with pytest.raises(DataError, match="cannot have event month"):
+            ProgressionLabel(cls, month, "built by hand")
+
 
 class TestExclusions:
     def test_kl4_baseline_excluded(self):

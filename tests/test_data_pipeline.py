@@ -261,11 +261,18 @@ class TestSynthCohort:
             assert abs(share - target) < 0.04, f"class {cls}: {share:.3f} vs {target:.3f}"
 
     def test_derived_label_always_matches_planted_class(self):
-        # the generator asserts internally; spot-check the public contract
+        # the generator checks every knee internally; spot-check the public contract
         records, _ = synth_generate(50, seed=6, with_volumes=False)
         for r in records:
             label = derive_label(r)
             assert label.progression_class in (CLASS_NONE, CLASS_SLOW, CLASS_FAST)
+
+    def test_inconsistent_trajectory_raises(self, monkeypatch):
+        import volformer.synth as synth
+        # a fast-progressor trajectory whatever class was drawn
+        monkeypatch.setattr(synth, "_trajectory", lambda label, rng: {0: 1, 12: 3, 96: 3})
+        with pytest.raises(DataError, match="inconsistent trajectory"):
+            synth_generate(20, seed=6, with_volumes=False)
 
     def test_phantom_thickness_decreases_with_severity(self):
         # planted covariate: average band intensity mass shrinks none -> fast

@@ -1,23 +1,97 @@
+import math
+
 import numpy as np
 import pytest
 
+from volformer import autograd as ag
 from volformer.architectures import build_model, resnet50
 from volformer.checkpoint import load_checkpoint, save_checkpoint
-from volformer.nn import Conv, ParamInit
-from volformer.presets import full_scale_config, toy_config
+from volformer.nn import Conv, Linear, ParamInit, shape_pass
+from volformer.presets import PRESETS, full_scale_config, preset_config, toy_config
 from volformer.profiler import count_macs, count_params, time_inference
+
+# (MACs, parameters) of every preset at its own input shape
+PROFILE_TOTALS = {
+    "full-2d-trf": (140_338_288_640, 128_595_011),
+    "full-2d-trf-cor": (165_894_723_584, 128_791_619),
+    "full-2d-trf-ax": (165_894_723_584, 128_791_619),
+    "full-2d-fc": (133_524_620_800, 90_618_947),
+    "full-2d-bilstm": (133_759_501_824, 28_230_211),
+    "full-multiview-shared": (473_436_313_600, 129_256_515),
+    "full-multiview-individual": (473_436_313_600, 176_272_579),
+    "toy-2d-trf": (1_419_488, 16_635),
+    "toy-2d-fc": (1_298_528, 10_491),
+    "toy-2d-bilstm": (1_339_488, 8_539),
+    "toy-multiview-shared": (4_282_592, 17_243),
+    "toy-multiview-individual": (4_282_592, 21_579),
+    "toy-conv3d": (10_748_000, 3_851),
+    "toy-conv2plus1d": (10_027_032, 2_011),
+}
+
+
+def forward_macs(graph, monkeypatch):
+    """MACs of one real predict_proba, counted at every conv_nd and matmul
+    call: output elements times the reduced extent of the operands."""
+    macs = []
+    conv_nd, matmul = ag.conv_nd, ag.matmul
+
+    def counted_conv(x, w, stride=1, padding=0):
+        out = conv_nd(x, w, stride, padding)
+        macs.append(out.size * math.prod(w.shape[1:]))
+        return out
+
+    def counted_matmul(a, b):
+        out = matmul(a, b)
+        macs.append(out.size * a.shape[-1])
+        return out
+
+    monkeypatch.setattr(ag, "conv_nd", counted_conv)
+    monkeypatch.setattr(ag, "matmul", counted_matmul)
+    rng = np.random.default_rng(0)
+    graph.predict_proba({v: rng.random(s, np.float32) for v, s in graph.input_spec.items()})
+    return sum(macs)
+
+
+class TestProfileContract:
+    def test_every_preset_listed(self):
+        assert set(PROFILE_TOTALS) == set(PRESETS)
+
+    @pytest.mark.parametrize("preset", sorted(PROFILE_TOTALS))
+    def test_totals_rows_and_real_forward(self, preset, monkeypatch):
+        graph = build_model(preset_config(preset))
+        report = count_params(graph)  # cross-checks the parameter registry
+        assert (report.total_macs, report.total_params) == PROFILE_TOTALS[preset]
+        assert report.total_macs == sum(r.macs for r in report.rows)
+        assert report.total_params == sum(r.params for r in report.rows)
+        if preset.startswith("toy-"):
+            assert forward_macs(graph, monkeypatch) == report.total_macs
+
+    def test_counting_materializes_no_parameter(self):
+        graph = build_model(full_scale_config("2d_trf_multiview_individual"))
+        count_macs(graph)
+        assert all(p._tensor is None for p in graph.module.parameters())
+
+    def test_slice_encoder_rows(self):
+        report = count_macs(build_model(preset_config("full-2d-trf")))
+        encoder = [r for r in report.rows if r.name.startswith("encoder@sag.")]
+        assert sum(r.params for r in encoder) == 25_557_032 - (2048 * 1000 + 1000)
+        attn = {r.name.rsplit(".", 1)[1]: r for r in report.rows
+                if r.name.startswith("aggregator.blocks.0.attn.")}
+        assert attn["attn_proj"].params == 4 * (2048 * 2048 + 2048)
+        assert attn["attn_scores"].params == 0
+        assert attn["attn_scores"].macs == 2 * 65 * 65 * 2048
 
 
 class TestMacCounting:
     def test_conv_hand_count(self):
         conv = Conv(1, 4, 3, ParamInit(0), padding=1)
-        out_shape, rows = conv.trace((1, 8, 8))
-        assert out_shape == (4, 8, 8)
+        out, rows = shape_pass(conv, (1, 8, 8))
+        assert out.shape == (4, 8, 8)
         assert rows[0].macs == 2304  # 8*8*4*9
 
     def test_linear_macs(self):
-        from volformer.nn import Linear
-        _, rows = Linear(16, 3, ParamInit(0)).trace((16,))
+        out, rows = shape_pass(Linear(16, 3, ParamInit(0)), (1, 16))
+        assert out.shape == (1, 3)
         assert rows[0].macs == 48
         assert rows[0].params == 16 * 3 + 3
 
