@@ -9,6 +9,7 @@ remaining runnable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,35 +120,54 @@ class ModelConfig:
         return {v: (self.slice_count[v],) + tuple(self.slice_shape[v]) for v in self.views}
 
 
+# Eval-mode encoding runs everything after the stem convolution over chunks
+# of at most this many elements of stem output (8 slices of full-2d-trf's
+# 64x80x80 maps). Frozen BatchNorm statistics make every slice independent,
+# so the pooled features are bit-identical to one full-batch pass; the
+# smaller activation and im2col buffers stay under the allocator's mmap
+# threshold and are reused instead of being faulted in fresh for every op.
+CHUNK_ELEMENTS = 8 * 64 * 80 * 80
+
+
 class SliceEncoder(Module):
     """Bottleneck-stage CNN over single slices; global-avg pooled features."""
 
-    def __init__(self, spec: EncoderSpec, init, dims=2):
+    def __init__(self, spec: EncoderSpec, init):
         super().__init__()
         self.spec = spec
-        self.dims = dims
         k, s = spec.stem_kernel, spec.stem_stride
         self.stem = Conv(spec.in_channels, spec.stem_width, k, init,
-                         stride=s, padding=k // 2, dims=dims)
-        self.stem_bn = BatchNorm(spec.stem_width, init, dims=dims)
+                         stride=s, padding=k // 2)
+        self.stem_bn = BatchNorm(spec.stem_width, init)
         channels = spec.stem_width
         stages = []
         for i, (width, n_blocks) in enumerate(zip(spec.stage_widths, spec.blocks_per_stage)):
             blocks = []
             for j in range(n_blocks):
                 stride = 2 if (i > 0 and j == 0) else 1
-                blocks.append(BottleneckBlock(channels, width, init, stride=stride, dims=dims))
+                blocks.append(BottleneckBlock(channels, width, init, stride=stride))
                 channels = width * BottleneckBlock.expansion
             stages.append(Sequential(*blocks))
         self.stages = Sequential(*stages)
         self.out_dim = channels
 
     def forward(self, x, ctx=EVAL_CTX):
-        x = ag.relu(self.stem_bn(self.stem(x, ctx), ctx))
+        x = self.stem(x, ctx)
+        n = step = x.shape[0]
+        # training BatchNorm takes statistics over the whole batch, and in the
+        # shape-only pass extra pieces would only add ops
+        if not ctx.training and ag.recorder is None and x.ndim == 4:
+            step = max(1, CHUNK_ELEMENTS // math.prod(x.shape[1:]))
+        if step >= n:
+            return self._after_stem(x, ctx)
+        return ag.concat([self._after_stem(x[i:i + step], ctx) for i in range(0, n, step)],
+                         axis=0)
+
+    def _after_stem(self, x, ctx):
+        x = ag.relu(self.stem_bn(x, ctx))
         if self.spec.stem_pool:
             x = ag.max_pool_nd(x, 3, stride=2, padding=1)
-        x = self.stages(x, ctx)
-        return ag.global_avg_pool(x)
+        return ag.global_avg_pool(self.stages(x, ctx))
 
 
 def resnet50(init=None, num_classes=1000, in_channels=3):

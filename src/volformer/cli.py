@@ -1,7 +1,8 @@
 """Command-line entry point: reproducible experiment commands over the
 synth / preprocess / label / split / train / evaluate / profile / curves
 workflow. Every command writes a manifest beside its outputs; exit codes are
-2 for configuration errors, 3 for data errors, 4 for training divergence."""
+2 for configuration errors, 3 for data errors and dead fold workers, 4 for
+training divergence."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +330,8 @@ def cmd_train(args):
             ctx = mp.get_context("spawn")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
                 results = list(pool.map(_train_one_fold, jobs))
+        except BrokenProcessPool as exc:
+            raise VolformerError(f"a fold worker died before finishing its fold ({exc})") from exc
         finally:
             for k, v in saved.items():
                 if v is None:

@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, UsageError
 
@@ -60,7 +59,10 @@ def roc_auc(scores, labels):
     scores, labels = _validate_binary(scores, labels)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
-    ranks = rankdata(scores)  # average ranks give tied pairs half credit
+    # average ranks give tied pairs half credit: a tie group's mean rank is
+    # its last rank minus half its extent
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[group]
     pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 

@@ -120,9 +120,6 @@ class BottleneckBlock(Module):
             raise ConfigError(f"bottleneck widths must be positive, got {in_channels}/{width}")
         out_channels = width * self.expansion
         self.dims = dims
-        self.stride = stride
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.conv1 = Conv(in_channels, width, 1, init, dims=dims)
         self.bn1 = BatchNorm(width, init, dims=dims)
         self.conv2 = Conv(width, width, 3, init, stride=stride, padding=1, dims=dims)

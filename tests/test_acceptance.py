@@ -2,7 +2,9 @@
 its measured margins. Run with ``pytest -v tests/test_acceptance.py``.
 
 The end-to-end experiment (criterion 6) drives the real CLI and is the
-long pole; everything else finishes in seconds to a few minutes.
+long pole; everything else finishes in seconds to a few minutes. Every
+criterion is marked ``slow``, so ``pytest -m "not slow"`` runs the unit tests
+alone.
 """
 
 import itertools
@@ -53,6 +55,8 @@ from volformer.training import (
 from volformer.volume import IDENTITY_POLICY
 
 from gradcheck import STEP, assert_grads_match
+
+pytestmark = pytest.mark.slow
 
 EVAL_CTX = Ctx(training=False)
 TRAIN_CTX = Ctx(training=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from volformer import architectures
 from volformer import autograd as ag
 from volformer.architectures import (
     BiLstmAggregator,
@@ -14,7 +15,9 @@ from volformer.architectures import (
 from volformer.checkpoint import save_checkpoint
 from volformer.errors import CheckpointError, ConfigError, ShapeError
 from volformer.modelconfig import format_model_config, load_model_config, parse_model_config
+from volformer.nn import Ctx
 from volformer.presets import full_scale_config, toy_config, toy_volumetric_config
+from volformer.profiler import count_macs
 
 
 def materialize(graph):
@@ -134,6 +137,69 @@ class TestForwardSlicewise:
             batched = graph.module.encode_slices(ag.tensor(batch)).data
         singles = np.stack([graph.module.encode_slices(batch[i]).data for i in range(3)])
         np.testing.assert_allclose(batched, singles, atol=1e-5)
+
+
+def count_stage_calls(graph, monkeypatch):
+    """Count calls of the slice encoder's bottleneck stages."""
+    stages = graph.module.encoder.stages
+    calls = []
+    forward = stages.forward
+
+    def counted(x, ctx):
+        calls.append(x.shape[0])
+        return forward(x, ctx)
+
+    monkeypatch.setattr(stages, "forward", counted, raising=False)
+    return calls
+
+
+class TestChunkedEncoding:
+    # toy stem output is 8 channels of 24x24 per slice
+    SLICE_ELEMENTS = 8 * 24 * 24
+
+    def test_chunks_equal_one_pass_bit_for_bit(self, monkeypatch):
+        graph = build_model(toy_config("2d_trf"), seed=11)
+        rng = np.random.default_rng(4)
+        batch = rng.random((2, 8, 24, 24)).astype(np.float32)
+        whole_feats = graph.module.encode_slices(batch).data
+        whole_probs = graph.predict_proba(batch[0])
+        monkeypatch.setattr(architectures, "CHUNK_ELEMENTS", 3 * self.SLICE_ELEMENTS)
+        calls = count_stage_calls(graph, monkeypatch)
+        chunked_feats = graph.module.encode_slices(batch).data
+        assert calls == [3, 3, 3, 3, 3, 1]
+        chunked_probs = graph.predict_proba(batch[0])
+        assert calls[6:] == [3, 3, 2]
+        assert np.array_equal(chunked_feats, whole_feats)
+        assert np.array_equal(chunked_probs, whole_probs)
+
+    def test_batch_within_budget_is_one_call(self, monkeypatch):
+        graph = build_model(toy_config("2d_trf"), seed=12)
+        calls = count_stage_calls(graph, monkeypatch)
+        graph.predict_proba(np.zeros((16, 8, 24, 24), np.float32))
+        assert calls == [16 * 8]
+
+    def test_training_and_shape_pass_never_chunk(self, monkeypatch):
+        cfg = toy_config("2d_trf")
+        rng = np.random.default_rng(5)
+        batch = rng.random((2, 8, 24, 24)).astype(np.float32)
+        results = []
+        for budget in (architectures.CHUNK_ELEMENTS, self.SLICE_ELEMENTS):
+            monkeypatch.setattr(architectures, "CHUNK_ELEMENTS", budget)
+            graph = build_model(cfg, seed=13)
+            calls = count_stage_calls(graph, monkeypatch)
+            out = graph.forward(batch, Ctx(training=True, rng=np.random.default_rng(0)))
+            stats = {n: b.copy() for n, b in graph.module.named_buffers()}
+            assert calls == [16]
+            results.append((out.data, stats))
+        (out_a, stats_a), (out_b, stats_b) = results
+        assert np.array_equal(out_a, out_b)
+        assert stats_a.keys() == stats_b.keys() and len(stats_a) > 0
+        for name in stats_a:
+            assert np.array_equal(stats_a[name], stats_b[name]), name
+        graph = build_model(cfg, seed=13)
+        calls = count_stage_calls(graph, monkeypatch)
+        count_macs(graph)
+        assert calls == [8]
 
 
 class TestAggregators:

@@ -1,9 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+import volformer
+from volformer import cli
 from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.cli import main
 from volformer.manifest import read_manifest
@@ -101,6 +107,43 @@ class TestErrorPaths:
                    "--model-preset", "toy-2d-trf", "--parallel-folds", 2)
         assert code == 2
         assert "VOLFORMER_THREADS" in capsys.readouterr().err
+
+    def test_dead_fold_worker_exits_3(self, tmp_path, cohort_dir, monkeypatch, capsys):
+        class DeadPool:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.delenv("VOLFORMER_THREADS", raising=False)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", DeadPool)
+        threads_before = os.environ.get("OMP_NUM_THREADS")
+        code = run("train", "--cohort", cohort_dir / "cohort.csv",
+                   "--volumes", cohort_dir / "volumes", "--out", tmp_path / "run",
+                   "--model-preset", "toy-2d-trf", "--parallel-folds", 2)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "fold worker died" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert os.environ.get("OMP_NUM_THREADS") == threads_before
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats would add about half a second to every command's start-up
+    src = str(Path(volformer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, volformer.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

@@ -111,6 +111,15 @@ class TestRocAuc:
             assert roc_auc(scores, labels) == pytest.approx(
                 auc_oracle(scores, labels), abs=1e-12)
 
+    def test_tie_heavy_scores_match_pair_count(self):
+        assert roc_auc(np.full(9, 0.3), [1, 0] * 4 + [1]) == 0.5
+        rng = np.random.default_rng(5)
+        for levels in (1, 2, 3, 7):
+            labels = rng.integers(0, 2, 200)
+            scores = rng.integers(0, levels, 200) / 7.0
+            assert roc_auc(scores, labels) == pytest.approx(
+                auc_oracle(scores, labels), abs=1e-12)
+
     def test_trapezoid_equals_pair_count(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
