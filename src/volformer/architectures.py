@@ -10,7 +10,7 @@ remaining runnable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,8 +156,10 @@ class SliceEncoder(Module):
         n = step = x.shape[0]
         # training BatchNorm takes statistics over the whole batch, and in the
         # shape-only pass extra pieces would only add ops
-        if not ctx.training and ag.recorder is None and x.ndim == 4:
-            step = max(1, CHUNK_ELEMENTS // math.prod(x.shape[1:]))
+        if not ctx.training and ag.recorder is None:
+            ctx = replace(ctx, folds={})  # each conv/norm pair folds once per call
+            if x.ndim == 4:
+                step = max(1, CHUNK_ELEMENTS // math.prod(x.shape[1:]))
         if step >= n:
             return self._after_stem(x, ctx)
         return ag.concat([self._after_stem(x[i:i + step], ctx) for i in range(0, n, step)],

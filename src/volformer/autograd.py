@@ -667,12 +667,43 @@ def _col2im(gcols, shape, kernel, stride, padding, lout):
     return _crop(gp, padding, shape)
 
 
+# A convolution that records no backward builds its im2col columns for
+# blocks of samples of at most this many bytes, not for the whole batch.
+COLUMN_BYTES = 8 << 20
+# In that forward-only path, an output map of at most this many positions
+# (stage 4's 5x5 maps) is multiplied as one W @ cols(C*K, b*L) per block:
+# per-sample products that thin re-read the whole weight for each sample.
+THIN_MAP = 36
+
+
+def _conv_forward(xd, wmat, kernel, stride, padding, lout):
+    """Forward-only ``W @ cols`` into one preallocated (B, C_out, L) array,
+    with columns built per block of samples. Per-sample products give the
+    recorded path's bits; so does a stacked thin map at the model's sizes,
+    but OpenBLAS's small-matrix kernels may round a toy one differently."""
+    b = xd.shape[0]
+    cout, ck = wmat.shape
+    l = math.prod(lout)
+    out = np.empty((b, cout, l), dtype=np.result_type(xd.dtype, wmat.dtype))
+    step = max(1, COLUMN_BYTES // (ck * l * xd.itemsize))
+    for i in range(0, b, step):
+        cols = _im2col(xd[i:i + step], kernel, stride, padding, lout)
+        block = out[i:i + step]
+        if l <= THIN_MAP:
+            stacked = np.matmul(wmat, cols.transpose(1, 0, 2).reshape(ck, -1))
+            block[...] = stacked.reshape(cout, -1, l).transpose(1, 0, 2)
+        else:
+            np.matmul(wmat, cols, out=block)
+    return out
+
+
 def conv_nd(x, w, stride=1, padding=0):
     """N-dimensional cross-correlation, N in {1, 2, 3}.
 
     ``x`` is (B, C_in, *spatial) or unbatched (C_in, *spatial); ``w`` is
     (C_out, C_in, *kernel). Differentiable w.r.t. both operands. One GEMM
-    ``W(C_out, C_in*K) @ cols(B, C_in*K, L)`` gives the output in NCHW.
+    ``W(C_out, C_in*K) @ cols(B, C_in*K, L)`` gives the output in NCHW; a
+    result that records no backward keeps no columns (:func:`_conv_forward`).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     n = w.ndim - 2
@@ -694,8 +725,12 @@ def conv_nd(x, w, stride=1, padding=0):
         out = meta((x.shape[0], w.shape[0]) + lout, np.result_type(x.dtype, w.dtype))
         return reshape(out, out.shape[1:]) if unbatched else out
 
-    cols = _im2col(x.data, kernel, stride, padding, lout)
     wmat = w.data.reshape(w.shape[0], -1)
+    if not (_grad_enabled and (x.requires_grad or w.requires_grad)):
+        out = Tensor(_conv_forward(x.data, wmat, kernel, stride, padding, lout)
+                     .reshape((x.shape[0], w.shape[0]) + lout))
+        return reshape(out, out.shape[1:]) if unbatched else out
+    cols = _im2col(x.data, kernel, stride, padding, lout)
     out_data = np.matmul(wmat, cols).reshape((x.shape[0], w.shape[0]) + lout)
 
     def bw(out):

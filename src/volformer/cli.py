@@ -7,7 +7,6 @@ training divergence."""
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -68,17 +67,9 @@ def _parse_dims(raw, name, n=3):
 
 
 def _hash_inputs_dir(directory):
-    """Input description for a volume directory: per-file hash for small
-    sets, a sorted (name, size) listing hash above that."""
-    files = sorted(Path(directory).glob("*.vvol"))
-    if len(files) <= 256:
-        return [(str(f), f) for f in files]
-    digest = hashlib.sha256()
-    for f in files:
-        digest.update(f.name.encode())
-        digest.update(str(f.stat().st_size).encode())
-    # represented as a pseudo-input entry
-    return [(f"listing:{directory}:{digest.hexdigest()}", directory)]
+    """Input description for a volume directory: every ``.vvol`` file, so
+    the manifest hashes each volume's contents."""
+    return sorted(Path(directory).glob("*.vvol"))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +117,7 @@ def load_experiment_config(path=None, overrides=None):
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot read experiment config {path}: {exc}") from exc
+        seen = {}
         for line_no, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -135,6 +127,10 @@ def load_experiment_config(path=None, overrides=None):
             key, raw = (p.strip() for p in stripped.split("=", 1))
             if key not in EXPERIMENT_KEYS:
                 raise ConfigError(f"{path} line {line_no}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigError(f"{path} line {line_no}: duplicate key {key!r} "
+                                  f"(first set on line {seen[key]})")
+            seen[key] = line_no
             try:
                 merged[key] = EXPERIMENT_KEYS[key](raw)
             except ValueError:

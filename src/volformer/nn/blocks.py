@@ -18,6 +18,7 @@ from .layers import (
     LayerNormModule,
     Linear,
     Module,
+    conv_norm,
     cost_scope,
 )
 
@@ -107,7 +108,9 @@ class BottleneckBlock(Module):
     """Residual bottleneck: 1x1 reduce, KxK spatial (strided), 1x1 expand.
 
     ``dims`` selects 2-D or 3-D convolutions; the skip is identity when
-    shapes match and a strided 1x1 projection + norm otherwise.
+    shapes match and a strided 1x1 projection + norm otherwise. Each
+    conv/norm pair runs through :func:`conv_norm`, which folds the norm into
+    the conv in a real eval forward.
     """
 
     expansion = 4
@@ -136,10 +139,10 @@ class BottleneckBlock(Module):
         unbatched = x.ndim == self.dims + 1
         if unbatched:
             x = ag.reshape(x, (1,) + x.shape)
-        out = ag.relu(self.bn1(self.conv1(x, ctx), ctx))
-        out = ag.relu(self.bn2(self.conv2(out, ctx), ctx))
-        out = self.bn3(self.conv3(out, ctx), ctx)
-        skip = x if self.proj is None else self.proj_bn(self.proj(x, ctx), ctx)
+        out = ag.relu(conv_norm(self.conv1, self.bn1, x, ctx))
+        out = ag.relu(conv_norm(self.conv2, self.bn2, out, ctx))
+        out = conv_norm(self.conv3, self.bn3, out, ctx)
+        skip = x if self.proj is None else conv_norm(self.proj, self.proj_bn, x, ctx)
         out = ag.relu(out + skip)
         return ag.reshape(out, out.shape[1:]) if unbatched else out
 

@@ -26,10 +26,13 @@ from ..errors import CheckpointError, ConfigError, ShapeError
 
 @dataclass
 class Ctx:
-    """Per-forward state: training toggles dropout/batch-stat paths."""
+    """Per-forward state: training toggles dropout/batch-stat paths;
+    ``folds``, when a dict, memoises :func:`conv_norm`'s folded weights
+    for the one call that made it."""
 
     training: bool = False
     rng: np.random.Generator | None = None
+    folds: dict | None = None
 
 
 EVAL_CTX = Ctx(training=False, rng=None)
@@ -369,13 +372,38 @@ class BatchNorm(Module):
             self.set_buffer("running_mean", (1 - m) * self.running_mean + m * mu)
             self.set_buffer("running_var", (1 - m) * self.running_var + m * var)
             return y
-        # eval: fold the frozen statistics into one scale/shift pair
         bshape = (1, self.channels) + (1,) * self.dims
-        inv = (1.0 / np.sqrt(self.running_var + self.eps)).reshape(bshape)
-        rm = self.running_mean.reshape(bshape)
-        scale = ag.reshape(self.gamma.tensor, bshape) * inv.astype(x.dtype)
-        shift = ag.reshape(self.beta.tensor, bshape) - scale * rm.astype(x.dtype)
-        return x * scale + shift
+        scale, shift = self.eval_affine(x.dtype)
+        return x * ag.reshape(scale, bshape) + ag.reshape(shift, bshape)
+
+    def eval_affine(self, dtype):
+        """The frozen statistics as flat (C,) tensors: in eval mode the
+        output is ``x * scale + shift`` per channel."""
+        inv = (1.0 / np.sqrt(self.running_var + self.eps)).astype(dtype)
+        scale = self.gamma.tensor * inv
+        shift = self.beta.tensor - scale * self.running_mean.astype(dtype)
+        return scale, shift
+
+
+def conv_norm(conv, norm, x, ctx=EVAL_CTX):
+    """``norm(conv(x))`` for a bias-free :class:`Conv` followed by its
+    :class:`BatchNorm`. A real eval forward folds the frozen statistics
+    into the convolution instead (Jacob et al., CVPR 2018, section 3.2):
+    one ``conv_nd`` with weight ``w * scale``, plus ``shift``. The fold is
+    built from autograd ops, so gradients still reach the weight, gamma
+    and beta, and ``ctx.folds`` (when a dict) keeps it for that ctx's call.
+    Training and the shape-only pass run the two modules as they are."""
+    if ctx.training or ag.recorder is not None:
+        return norm(conv(x, ctx), ctx)
+    fold = ctx.folds.get(norm) if ctx.folds is not None else None
+    if fold is None:
+        w = conv.weight.tensor
+        scale, shift = norm.eval_affine(w.dtype)
+        fold = (w * ag.reshape(scale, (-1,) + (1,) * (w.ndim - 1)),
+                ag.reshape(shift, (1, -1) + (1,) * conv.dims))
+        if ctx.folds is not None:
+            ctx.folds[norm] = fold
+    return ag.conv_nd(x, fold[0], conv.stride, conv.padding) + fold[1]
 
 
 class LayerNormModule(Module):

@@ -29,7 +29,6 @@ class TrainConfig:
     seed: int = 0
     snapshot_metric: str = "average_precision"
     augment_policy: AugmentPolicy = field(default_factory=AugmentPolicy)
-    grad_clip: float | None = None  # off by default
 
     def validate(self):
         if not 0 <= self.warmup_epochs < self.epochs:
@@ -245,8 +244,6 @@ def train_fold(model_cfg: ModelConfig, data: FoldData, fold_index, train_cfg: Tr
                 for _, tensor in named:
                     tensor.grad = None
                 ag.backward(loss)
-                if train_cfg.grad_clip is not None:
-                    _clip_gradients(named, train_cfg.grad_clip)
                 adam_step(named, adam, lr, train_cfg.weight_decay)
                 losses.append(loss.item())
 
@@ -260,16 +257,6 @@ def train_fold(model_cfg: ModelConfig, data: FoldData, fold_index, train_cfg: Tr
         exc.history = history  # keep the partial record for post-mortems
         raise
     return snapshot, history, graph
-
-
-def _clip_gradients(named, max_norm):
-    total = np.sqrt(sum(float(np.sum(np.square(t.grad)))
-                        for _, t in named if t.grad is not None))
-    if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for _, t in named:
-            if t.grad is not None:
-                t.grad = t.grad * scale
 
 
 def history_to_csv(history, path):

@@ -2,6 +2,8 @@
 
 The oracle perturbs raw numpy buffers directly and re-runs the forward
 closure, so it is independent of every analytic backward it checks.
+:func:`randomize_norms` gives a module's BatchNorms non-trivial frozen
+statistics and affine parameters, for eval-mode checks.
 """
 
 import numpy as np
@@ -45,3 +47,17 @@ def assert_grads_match(build_loss, tensors, tol=TOL, step=STEP):
     worst = max(max_rel_err(a, n) for a, n in zip(analytic, numeric))
     assert worst < tol, f"gradient mismatch: max rel err {worst:.3e} >= {tol}"
     return worst
+
+
+def randomize_norms(module, rng):
+    """Random gamma/beta and running statistics for every BatchNorm in
+    ``module``, so eval mode is not the identity it is at init."""
+    for name, p in module.named_parameters():
+        if name.endswith("gamma"):
+            p.tensor.data[:] = rng.uniform(0.5, 1.5, p.shape) * rng.choice([-1, 1], p.shape)
+        elif name.endswith("beta"):
+            p.tensor.data[:] = rng.uniform(-0.5, 1.0, p.shape)
+    for name, buf in list(module.named_buffers()):
+        mod, bname = module._find_buffer(name)
+        low = 0.3 if bname == "running_var" else -1.0
+        mod.set_buffer(bname, rng.uniform(low, 2.0, buf.shape).astype(buf.dtype))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import randomize_norms
 from volformer import architectures
 from volformer import autograd as ag
 from volformer.architectures import (
@@ -200,6 +201,68 @@ class TestChunkedEncoding:
         calls = count_stage_calls(graph, monkeypatch)
         count_macs(graph)
         assert calls == [8]
+
+
+class TestFoldedEvalEncoding:
+    """Eval-mode encoding folds each bottleneck conv/norm pair once per
+    encoder call, and gradients still reach every parameter."""
+
+    @staticmethod
+    def _graph(seed):
+        graph = build_model(toy_config("2d_trf"), seed=seed)
+        randomize_norms(graph.module, np.random.default_rng(seed))
+        return graph
+
+    def test_encoder_eval_grads_match_finite_differences(self, monkeypatch):
+        from gradcheck import assert_grads_match
+        from volformer.architectures import EncoderSpec, SliceEncoder
+        from volformer.nn import ParamInit
+        # one slice per chunk, so the folds are shared across chunks
+        monkeypatch.setattr(architectures, "CHUNK_ELEMENTS", 4 * 8 * 8)
+        spec = EncoderSpec(in_channels=1, stem_width=4, stage_widths=(2, 2),
+                           blocks_per_stage=(1, 1), stem_kernel=3, stem_stride=1)
+        # seeds at which no relu or max-pool kink lies within the
+        # finite-difference step (at seed 3 one does, folded or not)
+        encoder = SliceEncoder(spec, ParamInit(seed=4, dtype=np.float64))
+        randomize_norms(encoder, np.random.default_rng(4))
+        x = ag.tensor(np.random.default_rng(5).normal(size=(3, 1, 8, 8)), requires_grad=True)
+        params = [p.tensor for _, p in encoder.named_parameters()]
+        r = np.random.default_rng(6).normal(size=(3, encoder.out_dim))
+        assert_grads_match(lambda: (encoder(x, Ctx(training=False)) * r).sum(), [x] + params)
+        assert all(np.any(t.grad) for t in [x] + params)
+
+    def test_fold_matches_unfolded_probabilities(self, monkeypatch):
+        from volformer.nn import blocks
+        graph = self._graph(21)
+        x = np.random.default_rng(22).random((8, 24, 24)).astype(np.float32)
+        folded = graph.predict_proba(x)
+        monkeypatch.setattr(blocks, "conv_norm", lambda conv, norm, x, ctx: norm(conv(x, ctx), ctx))
+        np.testing.assert_allclose(folded, graph.predict_proba(x), rtol=0, atol=1e-6)
+
+    def test_each_pair_folds_once_per_encoder_call(self, monkeypatch):
+        graph = self._graph(23)
+        monkeypatch.setattr(architectures, "CHUNK_ELEMENTS", 3 * 8 * 24 * 24)
+        weights = {id(p.tensor): n for n, p in graph.module.encoder.named_parameters()
+                   if n.endswith("weight") and n != "stem.weight"}
+        folds = []
+        mul = ag.mul
+
+        def spy(a, b):
+            if id(a) in weights:
+                folds.append(weights[id(a)])
+            return mul(a, b)
+
+        monkeypatch.setattr(ag, "mul", spy)
+        calls = count_stage_calls(graph, monkeypatch)
+        x = np.random.default_rng(24).random((8, 24, 24)).astype(np.float32)
+        graph.predict_proba(x)
+        assert calls == [3, 3, 2]
+        assert sorted(folds) == sorted(weights.values()) and len(folds) == 8
+        graph.predict_proba(x)  # the next call folds afresh
+        assert len(folds) == 16
+        graph.forward(x[None], Ctx(training=True, rng=np.random.default_rng(0)))
+        count_macs(graph)
+        assert len(folds) == 16  # training and the shape-only pass never fold
 
 
 class TestAggregators:

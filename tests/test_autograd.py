@@ -175,6 +175,92 @@ class TestConvKernels:
                                                  [0.0, 0.0, 0.0]]]])
 
 
+class TestForwardOnlyConv:
+    """A conv that records no backward builds its columns per block of
+    samples and stacks thin maps into one GEMM. Blocked per-sample products
+    are bit-identical to the recorded conv. A stacked GEMM is too on large
+    operands; on toy ones OpenBLAS's small-matrix kernels sum in another
+    order, so those are compared at 1e-6 of the output's scale."""
+
+    @staticmethod
+    def _pair(x, w, stride, padding):
+        """(forward-only, recorded) outputs of the same operands."""
+        xt, wt = ag.tensor(x, requires_grad=True), ag.tensor(w, requires_grad=True)
+        with ag.no_grad():
+            fast = ag.conv_nd(xt, wt, stride=stride, padding=padding)
+        assert not fast.requires_grad and fast._backward is None
+        recorded = ag.conv_nd(xt, wt, stride=stride, padding=padding)
+        assert recorded._backward is not None
+        return fast.data, recorded.data
+
+    @staticmethod
+    def _assert_close(fast, recorded):
+        np.testing.assert_allclose(fast, recorded, rtol=1e-6,
+                                   atol=1e-6 * float(np.abs(recorded).max()))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_GRID + [
+        ((5, 3, 14, 14), (4, 3, 3, 3), 1, 1),     # L = 196, per-sample products
+        ((5, 3, 12, 12), (4, 3, 3, 3), 2, 1),     # L = 36, the largest stacked map
+        ((5, 3, 13, 13), (4, 3, 3, 3), 2, 1),     # L = 49
+        ((5, 6, 5, 5), (4, 6, 1, 1), 1, 0),       # pointwise, L = 25
+        ((5, 2, 40), (3, 2, 5), 2, 2),            # 1-D, L = 20
+        ((3, 2, 4, 9, 9), (3, 2, 3, 3, 3), 2, 1), # 3-D, L = 50
+    ])
+    def test_blocks_and_thin_maps(self, monkeypatch, dtype, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
+        x, w = (rng.normal(size=s).astype(dtype) for s in (x_shape, w_shape))
+        fast, recorded = self._pair(x, w, stride, padding)
+        assert fast.dtype == dtype
+        lout = np.prod(fast.shape[2:])
+        if lout > ag.THIN_MAP:
+            np.testing.assert_array_equal(fast, recorded)
+        else:
+            self._assert_close(fast, recorded)
+        # two samples' columns per block: several blocks plus a remainder
+        # when B is odd, and one block per sample at B = 2
+        ck = np.prod(w_shape[1:])
+        monkeypatch.setattr(ag, "COLUMN_BYTES", int(2 * ck * lout * np.dtype(dtype).itemsize))
+        monkeypatch.setattr(ag, "THIN_MAP", 0)
+        np.testing.assert_array_equal(self._pair(x, w, stride, padding)[0], recorded)
+        monkeypatch.setattr(ag, "THIN_MAP", 10_000)
+        self._assert_close(self._pair(x, w, stride, padding)[0], recorded)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+        ((3, 256, 5, 5), (256, 256, 3, 3), 1, 1),  # stage-4 3x3 at half width
+        ((3, 512, 10, 10), (256, 512, 3, 3), 2, 1),  # stride 2 into a 5x5 map
+        ((3, 1024, 5, 5), (512, 1024, 1, 1), 1, 0),  # pointwise
+    ])
+    def test_stacked_gemm_bit_identical_at_scale(self, monkeypatch, x_shape, w_shape, stride,
+                                                 padding):
+        rng = np.random.default_rng(9)
+        x, w = (rng.normal(size=s).astype(np.float32) for s in (x_shape, w_shape))
+        monkeypatch.setattr(ag, "COLUMN_BYTES", 2 * np.prod(w_shape[1:]) * 25 * 4)
+        fast, recorded = self._pair(x, w, stride, padding)
+        np.testing.assert_array_equal(fast, recorded)
+
+    @pytest.mark.parametrize("budget", [1, 10_000])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 3)])
+    def test_unbatched(self, monkeypatch, budget, stride, padding):
+        monkeypatch.setattr(ag, "COLUMN_BYTES", budget)
+        rng = np.random.default_rng(5)
+        x, w = rng.normal(size=(2, 6, 7)), rng.normal(size=(3, 2, 3, 3))
+        fast, recorded = self._pair(x, w, stride, padding)
+        assert fast.shape == recorded.shape == (3,) + recorded.shape[1:]
+        self._assert_close(fast, recorded)
+
+    def test_constant_operands_take_the_forward_only_path(self, monkeypatch):
+        calls = []
+        forward = ag._conv_forward
+        monkeypatch.setattr(ag, "_conv_forward", lambda *a: calls.append(1) or forward(*a))
+        rng = np.random.default_rng(6)
+        x, w = rng.normal(size=(3, 2, 6, 6)), rng.normal(size=(4, 2, 3, 3))
+        y = ag.conv_nd(ag.tensor(x), ag.tensor(w), padding=1)
+        assert calls == [1] and not y.requires_grad
+        ag.conv_nd(ag.tensor(x), ag.tensor(w, requires_grad=True), padding=1)
+        assert calls == [1]  # a recorded conv builds its columns whole
+
+
 class TestSoftmax:
     def test_symmetry(self):
         y = ag.softmax(t64([0.0, 0.0]))

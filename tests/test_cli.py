@@ -12,7 +12,7 @@ import volformer
 from volformer import cli
 from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.cli import main
-from volformer.manifest import read_manifest
+from volformer.manifest import read_manifest, write_manifest
 
 
 def run(*argv):
@@ -99,6 +99,17 @@ class TestErrorPaths:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_duplicate_experiment_key_exits_2(self, tmp_path, cohort_dir, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("epochs = 3\n# later\nepochs = 7\n")
+        code = run("train", "--config", cfg, "--cohort", cohort_dir / "cohort.csv",
+                   "--volumes", cohort_dir / "volumes", "--out", tmp_path / "run",
+                   "--model-preset", "toy-2d-trf")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "line 3" in err and "duplicate key 'epochs'" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("value", ["two", "0", "-1"])
     def test_bad_thread_cap_exits_2(self, tmp_path, cohort_dir, monkeypatch, capsys, value):
         monkeypatch.setenv("VOLFORMER_THREADS", value)
@@ -133,6 +144,30 @@ class TestErrorPaths:
         assert "fold worker died" in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert os.environ.get("OMP_NUM_THREADS") == threads_before
+
+
+def test_volume_contents_hashed_past_256_files(tmp_path):
+    """A one-byte edit that keeps every file's size still changes the
+    manifest's inputs, however many volumes the directory holds."""
+    vols = tmp_path / "volumes"
+    vols.mkdir()
+    for i in range(257):
+        (vols / f"v{i:03d}.vvol").write_bytes(bytes([i % 251]) * 16)
+
+    def inputs():
+        return read_manifest(write_manifest(tmp_path / "m", "preprocess", config={},
+                                            inputs=cli._hash_inputs_dir(vols),
+                                            outputs=[], seeds={}))["inputs"]
+
+    before = inputs()
+    assert len(before) == 257 and all(before.values())
+    victim = vols / "v128.vvol"
+    data = bytearray(victim.read_bytes())
+    data[5] ^= 0xFF
+    victim.write_bytes(bytes(data))
+    after = inputs()
+    assert after.keys() == before.keys()
+    assert [k for k in before if before[k] != after[k]] == [str(victim)]
 
 
 def test_cli_import_leaves_out_scipy_stats():

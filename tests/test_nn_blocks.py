@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import randomize_norms
 from volformer import autograd as ag
 from volformer.errors import ConfigError, UsageError
 from volformer.nn import (
@@ -148,6 +149,47 @@ class TestBottleneckBlock:
             return (y * r).sum()
 
         assert_grads_match(loss, [x] + params)
+
+
+class TestFoldedEvalBottleneck:
+    """In a real eval forward each conv/norm pair runs as one conv with the
+    norm folded into its weight."""
+
+    @staticmethod
+    def _block(seed, stride):
+        block = BottleneckBlock(4, 2, init64(30 + seed), stride=stride)  # with projection
+        randomize_norms(block, np.random.default_rng(seed))
+        return block
+
+    # seeds whose relu inputs all stay clear of the kink by more than the
+    # finite-difference step (central differences are invalid across it)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_eval_grads_match_finite_differences(self, seed):
+        from gradcheck import assert_grads_match
+        rng = np.random.default_rng(2000 + seed)
+        block = self._block(seed, stride=[1, 2][seed % 2])
+        x = ag.tensor(rng.normal(size=(2, 4, 6, 6)), requires_grad=True)
+        params = [p.tensor for _, p in block.named_parameters()]
+        r = None
+
+        def loss():
+            nonlocal r
+            y = block(x, CTX)
+            if r is None:
+                r = np.random.default_rng(seed).normal(size=y.shape)
+            return (y * r).sum()
+
+        assert_grads_match(loss, [x] + params)
+        assert all(t.grad is not None and np.any(t.grad) for t in [x] + params)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_fold_matches_norm_of_conv(self, monkeypatch, stride):
+        from volformer.nn import blocks
+        block = self._block(7, stride)
+        x = ag.tensor(np.random.default_rng(8).normal(size=(3, 4, 7, 7)))
+        folded = block(x, CTX).data
+        monkeypatch.setattr(blocks, "conv_norm", lambda conv, norm, x, ctx: norm(conv(x, ctx), ctx))
+        np.testing.assert_allclose(folded, block(x, CTX).data, rtol=1e-12, atol=1e-12)
 
 
 class TestBiLSTM:
