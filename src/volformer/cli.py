@@ -40,7 +40,18 @@ from .evaluation import (
 )
 from .experiment import assemble_samples, check_sample_spec
 from .manifest import file_sha256, read_manifest, write_manifest
-from .modelconfig import format_model_config, load_model_config, parse_model_config
+from .modelconfig import (
+    DIMS,
+    FLOAT,
+    NONNEG_INT,
+    POS_INT,
+    STR,
+    format_model_config,
+    load_model_config,
+    parse_model_config,
+    read_config,
+    read_text,
+)
 from .presets import preset_config
 from .profiler import count_macs, time_inference
 from .synth import SynthSpec, synth_generate
@@ -56,16 +67,6 @@ from .volume import (
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED = 0, 2, 3, 4
 
 
-def _parse_dims(raw, name, n=3):
-    try:
-        parts = tuple(int(p) for p in raw.lower().replace("x", ",").split(","))
-    except ValueError:
-        raise ConfigError(f"{name} expects {n} integers like 48x48x16, got {raw!r}") from None
-    if len(parts) != n:
-        raise ConfigError(f"{name} expects {n} integers, got {raw!r}")
-    return parts
-
-
 def _hash_inputs_dir(directory):
     """Input description for a volume directory: every ``.vvol`` file, so
     the manifest hashes each volume's contents."""
@@ -73,72 +74,37 @@ def _hash_inputs_dir(directory):
 
 
 # ---------------------------------------------------------------------------
-# experiment config (train/evaluate): flat key = value, flags win
+# experiment config (train): flat key = value, flags win
 
 
+# key -> (kind, default); a key without a default is unset until given
 EXPERIMENT_KEYS = {
-    "cohort": str, "volumes": str, "out": str,
-    "model_config": str, "model_preset": str,
-    "holdout_institution": str, "folds": int, "seed": int,
-    "crop": str, "factors": str,
-    "epochs": int, "warmup_epochs": int, "batch_size": int,
-    "lr_start": float, "lr_main": float, "weight_decay": float, "focal_gamma": float,
-    "augment.shift_frac": float, "augment.rotate_deg": float,
-    "augment.gamma_lo": float, "augment.gamma_hi": float,
-    "parallel_folds": int,
-}
-
-EXPERIMENT_DEFAULTS = {
-    "holdout_institution": "inst_d",
-    "folds": 5,
-    "seed": 0,
-    "crop": "48x48x16",
-    "factors": "2,2,2",
-    "epochs": 10,
-    "warmup_epochs": 2,
-    "batch_size": 16,
-    "lr_start": 1e-5,
-    "lr_main": 1e-4,
-    "weight_decay": 1e-4,
-    "focal_gamma": 2.0,
-    "augment.shift_frac": 0.05,
-    "augment.rotate_deg": 8.0,
-    "augment.gamma_lo": 0.9,
-    "augment.gamma_hi": 1.1,
-    "parallel_folds": 1,
+    "cohort": (STR, None), "volumes": (STR, None), "out": (STR, None),
+    "model_config": (STR, None), "model_preset": (STR, None),
+    "holdout_institution": (STR, "inst_d"), "folds": (POS_INT, 5), "seed": (NONNEG_INT, 0),
+    "crop": (DIMS, (48, 48, 16)), "factors": (DIMS, (2, 2, 2)),
+    "epochs": (POS_INT, 10), "warmup_epochs": (NONNEG_INT, 2), "batch_size": (POS_INT, 16),
+    "lr_start": (FLOAT, 1e-5), "lr_main": (FLOAT, 1e-4),
+    "weight_decay": (FLOAT, 1e-4), "focal_gamma": (FLOAT, 2.0),
+    "augment.shift_frac": (FLOAT, 0.05), "augment.rotate_deg": (FLOAT, 8.0),
+    "augment.gamma_lo": (FLOAT, 0.9), "augment.gamma_hi": (FLOAT, 1.1),
+    "parallel_folds": (POS_INT, 1),
 }
 
 
 def load_experiment_config(path=None, overrides=None):
-    """Defaults < config file < command-line flags."""
-    merged = dict(EXPERIMENT_DEFAULTS)
+    """Defaults < config file < command-line flags, all read through the
+    key types. A model flag replaces both model keys of the file."""
+    merged = {k: default for k, (_, default) in EXPERIMENT_KEYS.items() if default is not None}
     if path:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read experiment config {path}: {exc}") from exc
-        seen = {}
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path} line {line_no}: expected 'key = value'")
-            key, raw = (p.strip() for p in stripped.split("=", 1))
-            if key not in EXPERIMENT_KEYS:
-                raise ConfigError(f"{path} line {line_no}: unknown key {key!r}")
-            if key in seen:
-                raise ConfigError(f"{path} line {line_no}: duplicate key {key!r} "
-                                  f"(first set on line {seen[key]})")
-            seen[key] = line_no
-            try:
-                merged[key] = EXPERIMENT_KEYS[key](raw)
-            except ValueError:
-                raise ConfigError(f"{path} line {line_no}: bad value for {key}: {raw!r}") from None
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    return merged
+        entries = read_config(read_text(path, "experiment config"), EXPERIMENT_KEYS, path)
+        merged.update((k, value) for k, (value, _) in entries.items())
+    flags = {k: EXPERIMENT_KEYS[k][0].parse(str(v), "--" + k.replace("_", "-"))
+             for k, v in (overrides or {}).items() if v is not None}
+    if flags.keys() & {"model_config", "model_preset"}:
+        merged.pop("model_config", None)
+        merged.pop("model_preset", None)
+    return merged | flags
 
 
 def _experiment_pieces(cfg):
@@ -159,9 +125,7 @@ def _experiment_pieces(cfg):
         augment_policy=AugmentPolicy(cfg["augment.shift_frac"], cfg["augment.rotate_deg"],
                                      (cfg["augment.gamma_lo"], cfg["augment.gamma_hi"])),
     ).validate()
-    crop = _parse_dims(cfg["crop"], "crop")
-    factors = _parse_dims(cfg["factors"], "factors")
-    return model_cfg, train_cfg, crop, factors
+    return model_cfg, train_cfg
 
 
 def _load_labelled(cohort_path, volumes_dir=None):
@@ -182,7 +146,7 @@ def cmd_synth(args):
     out = Path(args.out)
     vol_dir = out / "volumes"
     vol_dir.mkdir(parents=True, exist_ok=True)
-    spec = SynthSpec(dims=_parse_dims(args.dims, "--dims")) if args.dims else SynthSpec()
+    spec = SynthSpec(dims=DIMS.parse(args.dims, "--dims")) if args.dims else SynthSpec()
     records, _ = synth_generate(args.subjects, args.seed, spec=spec, out_dir=vol_dir)
     cohort_path = out / "cohort.csv"
     write_cohort_csv(records, cohort_path)
@@ -195,8 +159,8 @@ def cmd_synth(args):
 
 
 def cmd_preprocess(args):
-    crop = _parse_dims(args.crop, "--crop")
-    factors = _parse_dims(args.factors, "--factors")
+    crop = DIMS.parse(args.crop, "--crop")
+    factors = DIMS.parse(args.factors, "--factors")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = sorted(Path(args.volumes).glob("*.vvol"))
@@ -287,7 +251,7 @@ def cmd_train(args):
         "parallel_folds": args.parallel_folds,
     }
     cfg = load_experiment_config(args.config, overrides)
-    model_cfg, train_cfg, crop, factors = _experiment_pieces(cfg)
+    model_cfg, train_cfg = _experiment_pieces(cfg)
     thread_cap = _thread_cap()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -297,7 +261,8 @@ def cmd_train(args):
                            n_folds=cfg["folds"], seed=cfg["seed"])
     train_pairs = [(r, lab) for r, lab in kept
                    if r.institution_id != cfg["holdout_institution"]]
-    samples = assemble_samples(train_pairs, cfg["volumes"], model_cfg.views, crop, factors)
+    samples = assemble_samples(train_pairs, cfg["volumes"], model_cfg.views,
+                               cfg["crop"], cfg["factors"])
     check_sample_spec(samples, model_cfg)
     index_of = {kid: i for i, kid in enumerate(samples.knee_ids)}
 
@@ -363,9 +328,9 @@ def cmd_evaluate(args):
         raise DataError(f"no train manifest found in {snap_dir}")
     train_manifest = read_manifest(manifests[0])
     tcfg = train_manifest["config"]
-    model_cfg = parse_model_config(tcfg["model_config_text"])
-    crop = _parse_dims(tcfg["crop"], "crop")
-    factors = _parse_dims(tcfg["factors"], "factors")
+    model_cfg = parse_model_config(tcfg["model_config_text"],
+                                   f"{manifests[0]} model_config_text")
+    crop, factors = tuple(tcfg["crop"]), tuple(tcfg["factors"])
     volumes_dir = args.volumes or tcfg["volumes"]
     holdout = tcfg["holdout_institution"]
 
@@ -438,7 +403,7 @@ def cmd_profile(args):
     graph = build_model(model_cfg, seed=0)
     input_spec = None
     if args.input:
-        k, h, w = _parse_dims(args.input, "--input")
+        k, h, w = DIMS.parse(args.input, "--input")
         input_spec = {v: (k, h, w) for v in model_cfg.views}
     report = count_macs(graph, input_spec)
     payload = report.to_dict()

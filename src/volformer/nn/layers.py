@@ -46,6 +46,14 @@ class CostRow:
     params: int
 
 
+def _trainable(data):
+    # set after construction: Tensor() drops requires_grad under no_grad, and a
+    # parameter first made inside predict_proba must still train later
+    t = Tensor(data)
+    t.requires_grad = True
+    return t
+
+
 class Parameter:
     """Lazily materialized trainable tensor."""
 
@@ -67,7 +75,7 @@ class Parameter:
         if ag.recorder is not None:
             return ag.recorder.parameter(self)
         if self._tensor is None:
-            self._tensor = Tensor(self._init_data(), requires_grad=True)
+            self._tensor = _trainable(self._init_data())
         return self._tensor
 
     def _init_data(self):
@@ -90,7 +98,7 @@ class Parameter:
         arr = np.asarray(arr)
         if tuple(arr.shape) != self.shape:
             raise ShapeError(f"parameter shape {self.shape} cannot load array {arr.shape}")
-        self._tensor = Tensor(arr.astype(self.dtype), requires_grad=True)
+        self._tensor = _trainable(arr.astype(self.dtype))
 
 
 class ParamInit:

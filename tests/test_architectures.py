@@ -1,5 +1,9 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import randomize_norms
 from volformer import architectures
@@ -15,10 +19,19 @@ from volformer.architectures import (
 )
 from volformer.checkpoint import save_checkpoint
 from volformer.errors import CheckpointError, ConfigError, ShapeError
+from volformer import modelconfig as mc
+from volformer.cli import EXPERIMENT_KEYS
 from volformer.modelconfig import format_model_config, load_model_config, parse_model_config
 from volformer.nn import Ctx
-from volformer.presets import full_scale_config, toy_config, toy_volumetric_config
+from volformer.presets import (
+    PRESETS,
+    full_scale_config,
+    preset_config,
+    toy_config,
+    toy_volumetric_config,
+)
 from volformer.profiler import count_macs
+from volformer.training import focal_loss
 
 
 def materialize(graph):
@@ -52,6 +65,15 @@ class TestBuildModel:
         assert best < 1.0
         assert probs.shape == (3,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+
+    def test_parameters_first_made_under_no_grad_still_train(self):
+        graph = build_model(toy_config("2d_trf"), seed=0)
+        x = np.random.default_rng(0).random((2, 8, 24, 24), dtype=np.float32)
+        graph.predict_proba(x)  # materialises every parameter inside no_grad
+        logits = graph.forward(x, Ctx(training=True, rng=np.random.default_rng(1)))
+        ag.backward(focal_loss(ag.softmax(logits, axis=-1), [0, 2]))
+        missing = [n for n, p in graph.module.named_parameters() if p.tensor.grad is None]
+        assert not missing
 
     @pytest.mark.parametrize("mutate", [
         lambda c: setattr(c, "family", "alexnet"),
@@ -456,3 +478,58 @@ class TestModelConfigFile:
             "encoder.in_channels = 1\nagg.model_dim = 32\nagg.heads = 4\n")
         assert cfg.slice_count == {"sag": 8, "cor": 16, "ax": 8}
         assert cfg.slice_shape["cor"] == (24, 12)
+
+    def test_per_view_line_before_bare_line_still_wins(self):
+        cfg = parse_model_config(
+            "family = 2d_trf_multiview_shared\nviews = sag,cor\nslice_count.cor = 16\n"
+            "slice_count = 8\nslice_shape = 24x24\nencoder.in_channels = 1\n")
+        assert cfg.slice_count == {"sag": 8, "cor": 16}
+
+    def test_per_view_key_for_absent_view_names_line(self):
+        with pytest.raises(ConfigError, match="line 4: slice_count.cor .*views = sag"):
+            parse_model_config("family = 2d_trf\nviews = sag\nslice_count = 4\n"
+                               "slice_count.cor = 3\nslice_shape = 24x24\n")
+
+    @pytest.mark.parametrize("line", [
+        "slice_count = abc", "slice_count.sag = abc", "agg.heads = 0",
+        "encoder.stem_stride = 0", "encoder.stem_kernel = 0", "agg.blocks = -1",
+        "agg.dropout = nan", "encoder.stage_widths = 4,0", "encoder.stem_pool = maybe",
+        "slice_shape = 24x24x24", "views",
+    ])
+    def test_bad_line_is_config_error_naming_it(self, line):
+        with pytest.raises(ConfigError, match=f"cfg line 2: .*{line.split(' ')[0]}"):
+            parse_model_config(f"family = 2d_trf\n{line}\nencoder.in_channels = 1\n", "cfg")
+
+    def test_invalid_combination_names_source(self):
+        with pytest.raises(ConfigError, match="run.cfg: model_dim 32 not divisible by heads 3"):
+            parse_model_config("agg.model_dim = 32\nagg.heads = 3\n", "run.cfg")
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_round_trips(self, name):
+        cfg = preset_config(name)
+        assert parse_model_config(format_model_config(cfg)) == cfg
+
+
+_NAME = string.ascii_letters + string.digits + "_-./:"
+_VALUES = {
+    mc.POS_INT: st.integers(1, 2**63),
+    mc.NONNEG_INT: st.integers(0, 2**63),
+    mc.FLOAT: st.floats(allow_nan=False, allow_infinity=False),
+    mc.BOOL: st.booleans(),
+    mc.INT_LIST: st.lists(st.integers(1, 10**6), min_size=1, max_size=5).map(tuple),
+    mc.DIMS: st.tuples(*[st.integers(1, 10**4)] * 3),
+    mc.SHAPE: st.tuples(*[st.integers(1, 10**4)] * 2),
+    mc.STR: st.text(_NAME + " =,", max_size=20).map(str.strip),
+    mc.NAMES: st.lists(st.text(_NAME, min_size=1, max_size=8), min_size=1, max_size=3).map(tuple),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_values_round_trip_through_the_reader(data):
+    table = data.draw(st.sampled_from([mc.MODEL_KEYS, EXPERIMENT_KEYS]))
+    key = data.draw(st.sampled_from(sorted(table)))
+    kind = table[key][0]
+    value = data.draw(_VALUES[kind])
+    text = f"# header\n\n  {key} =  {kind.format(value)}  # trailing\n"
+    assert mc.read_config(text, table, "t") == {key: (value, 3)}

@@ -110,6 +110,62 @@ class TestErrorPaths:
         assert str(cfg) in err and "line 3" in err and "duplicate key 'epochs'" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("line", [
+        "slice_count = abc", "slice_count.sag = abc", "agg.heads = 0",
+        "encoder.stem_stride = 0", "encoder.stem_kernel = 0", "agg.blocks = -1",
+    ])
+    def test_bad_model_config_value_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"family = 2d_trf\n{line}\n")
+        assert run("profile", "--config", cfg, "--out", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert f"{cfg} line 2: {line.split(' ')[0]}" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("line", ["lr_main = nan", "parallel_folds = -3", "crop = 48x48",
+                                      "seed = -1", "batch_size = 0"])
+    def test_bad_experiment_value_exits_2(self, tmp_path, cohort_dir, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"# run\n{line}\n")
+        code = run("train", "--config", cfg, "--cohort", cohort_dir / "cohort.csv",
+                   "--volumes", cohort_dir / "volumes", "--out", tmp_path / "run",
+                   "--model-preset", "toy-2d-trf")
+        assert code == 2
+        assert f"{cfg} line 2: {line.split(' ')[0]} expects" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", -1), ("--parallel-folds", 0),
+                                             ("--epochs", 0)])
+    def test_out_of_range_train_flag_exits_2(self, tmp_path, cohort_dir, capsys, flag, value):
+        code = run("train", "--cohort", cohort_dir / "cohort.csv",
+                   "--volumes", cohort_dir / "volumes", "--out", tmp_path / "run",
+                   "--model-preset", "toy-2d-trf", flag, value)
+        assert code == 2
+        assert f"{flag} expects" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_unreadable_experiment_config_exits_2(self, tmp_path, capsys):
+        code = run("train", "--config", tmp_path / "absent.cfg", "--out", tmp_path / "run",
+                   "--model-preset", "toy-2d-trf")
+        assert code == 2
+        assert "cannot read experiment config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file_line, flags", [
+        ("model_config = {absent}", ["--model-preset", "resnet-9000"]),
+        ("model_preset = toy-2d-fc", ["--model-config", "{absent}"]),
+    ])
+    def test_model_flag_replaces_both_file_keys(self, tmp_path, cohort_dir, capsys,
+                                                file_line, flags):
+        absent = tmp_path / "absent_model.cfg"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(file_line.format(absent=absent) + "\n")
+        code = run("train", "--config", cfg, "--cohort", cohort_dir / "cohort.csv",
+                   "--volumes", cohort_dir / "volumes", "--out", tmp_path / "run",
+                   *[f.format(absent=absent) for f in flags])
+        assert code == 2  # the flag's model is loaded and fails, not the file's
+        err = capsys.readouterr().err
+        assert ("resnet-9000" in err) if "--model-preset" in flags else ("absent_model" in err)
+
     @pytest.mark.parametrize("value", ["two", "0", "-1"])
     def test_bad_thread_cap_exits_2(self, tmp_path, cohort_dir, monkeypatch, capsys, value):
         monkeypatch.setenv("VOLFORMER_THREADS", value)
