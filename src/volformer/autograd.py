@@ -532,34 +532,54 @@ def softmax(a, axis=-1):
 
 
 def batch_norm(x, gamma, beta, axes, eps=1e-5):
-    """Normalize over ``axes`` with per-channel affine; returns
-    (y, mean_data, var_data) so callers can maintain running statistics.
+    """Training-mode BatchNorm (Ioffe & Szegedy, ICML 2015): normalize each
+    channel over ``axes`` with per-channel affine; returns (y, mean_data,
+    var_data) so callers can maintain running statistics.
 
-    ``gamma``/``beta`` are flat (C,) tensors broadcast into x's channel axis
-    (axis 1)."""
+    ``axes`` must be every axis but the channel axis 1. ``gamma``/``beta``
+    are flat (C,) tensors. ``x`` is viewed as (B, C, L): the statistics are
+    per-channel contiguous reductions, and the backward needs only the two
+    sums ``sum(g)`` and ``sum(g * xhat)`` that give dbeta and dgamma."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    bshape = tuple(x.shape[1] if ax == 1 else 1 for ax in range(x.ndim))
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
+    if tuple(axes) != (0,) + tuple(range(2, x.ndim)):
+        raise ConfigError(f"batch_norm normalizes over every axis but 1 of a rank-{x.ndim} "
+                          f"input, got axes {tuple(axes)}")
+    b, c = x.shape[:2]
+    xd = x.data.reshape(b, c, -1)
+    l = xd.shape[2]
+    n = b * l
+
+    def per_channel(v):
+        # a contiguous (C, L) operand, which numpy broadcasts over the
+        # batch faster than a (C, 1) one
+        return np.repeat(v, l).reshape(c, l)
+
+    mu = np.einsum("bcl->c", xd) / n
+    xc = xd - per_channel(mu)
+    var = np.einsum("bcl,bcl->c", xc, xc) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    gb = gamma.data.reshape(bshape)
-    out_data = xhat * gb + beta.data.reshape(bshape)
+    scale = gamma.data.reshape(c) * inv
+    out_data = xc * per_channel(scale)  # xhat = xc * inv is never formed
+    out_data += per_channel(beta.data.reshape(c))
 
     def bw(out):
-        g = out.grad
+        g = out.grad.reshape(b, c, l)
+        sg = np.einsum("bcl->c", g)
+        sgx = np.einsum("bcl,bcl->c", g, xc) * inv
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=axes).reshape(gamma.shape))
+            gamma.accumulate_grad(sgx.reshape(gamma.shape))
         if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=axes).reshape(beta.shape))
+            beta.accumulate_grad(sg.reshape(beta.shape))
         if x.requires_grad:
-            gx = g * gb
-            m1 = gx.mean(axis=axes, keepdims=True)
-            m2 = (gx * xhat).mean(axis=axes, keepdims=True)
-            x.accumulate_grad(inv * (gx - m1 - xhat * m2))
+            # gamma * inv * (g - mean(g) - xhat * mean(g * xhat)), in one buffer
+            gx = xc * per_channel(sgx * inv / -n)
+            gx -= per_channel(sg / n)
+            gx += g
+            gx *= per_channel(scale)
+            x.accumulate_grad(gx.reshape(x.shape))
 
-    out = _make(out_data, (x, gamma, beta), bw)
-    return out, mu.reshape(-1), var.reshape(-1)
+    out = _make(out_data.reshape(x.shape), (x, gamma, beta), bw)
+    return out, mu, var
 
 
 def layer_norm(x, gamma, beta, eps=1e-5, axis=-1):
@@ -668,7 +688,9 @@ def _col2im(gcols, shape, kernel, stride, padding, lout):
 
 
 # A convolution that records no backward builds its im2col columns for
-# blocks of samples of at most this many bytes, not for the whole batch.
+# blocks of samples of at most this many bytes, not for the whole batch;
+# a recorded one forms its weight gradient's per-sample products in blocks
+# of at most this many bytes.
 COLUMN_BYTES = 8 << 20
 # In that forward-only path, an output map of at most this many positions
 # (stage 4's 5x5 maps) is multiplied as one W @ cols(C*K, b*L) per block:
@@ -695,6 +717,16 @@ def _conv_forward(xd, wmat, kernel, stride, padding, lout):
         else:
             np.matmul(wmat, cols, out=block)
     return out
+
+
+def _conv_weight_grad(g, cols):
+    """sum_b g[b] @ cols[b].T for g (B, C_out, L) and cols (B, C*K, L): one
+    batched GEMM per block of samples whose (b, C_out, C*K) products fit
+    ``COLUMN_BYTES``, reading both operands in place."""
+    b, cout = g.shape[:2]
+    step = max(1, COLUMN_BYTES // (cout * cols.shape[1] * g.itemsize))
+    return sum(np.matmul(g[i:i + step], cols[i:i + step].transpose(0, 2, 1)).sum(axis=0)
+               for i in range(0, b, step))
 
 
 def conv_nd(x, w, stride=1, padding=0):
@@ -736,7 +768,7 @@ def conv_nd(x, w, stride=1, padding=0):
     def bw(out):
         g = out.grad.reshape(out.shape[0], out.shape[1], -1)
         if w.requires_grad:
-            w.accumulate_grad(np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(w.shape))
+            w.accumulate_grad(_conv_weight_grad(g, cols).reshape(w.shape))
         if x.requires_grad:
             x.accumulate_grad(_col2im(np.matmul(wmat.T, g), x.shape, kernel, stride, padding, lout))
 

@@ -128,6 +128,13 @@ def _experiment_pieces(cfg):
     return model_cfg, train_cfg
 
 
+def _int_flags(args, **kinds):
+    """Read the named integer flags of ``args`` in place through their key
+    types, so an out-of-range value is a configuration error."""
+    for name, kind in kinds.items():
+        setattr(args, name, kind.parse(str(getattr(args, name)), "--" + name.replace("_", "-")))
+
+
 def _load_labelled(cohort_path, volumes_dir=None):
     records = read_cohort_csv(cohort_path)
     volume_ids = None
@@ -143,6 +150,7 @@ def _load_labelled(cohort_path, volumes_dir=None):
 
 
 def cmd_synth(args):
+    _int_flags(args, subjects=POS_INT, seed=NONNEG_INT)
     out = Path(args.out)
     vol_dir = out / "volumes"
     vol_dir.mkdir(parents=True, exist_ok=True)
@@ -204,6 +212,7 @@ def cmd_label(args):
 
 
 def cmd_split(args):
+    _int_flags(args, folds=POS_INT, seed=NONNEG_INT)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kept, _ = _load_labelled(args.cohort)
@@ -320,6 +329,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    _int_flags(args, n_boot=POS_INT, seed=NONNEG_INT)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     snap_dir = Path(args.snapshots)
@@ -393,6 +403,28 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
+def _profile_input(raw, model_cfg):
+    """``--input``: one ``KxHxW`` for every view, or ``view=KxHxW`` items
+    separated by commas; a view left out keeps the model's own shape."""
+    spec = model_cfg.input_spec()
+    if "=" not in raw:
+        shape = DIMS.parse(raw, "--input")
+        return {v: shape for v in spec}
+    named = set()
+    for item in raw.split(","):
+        view, eq, dims = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise ConfigError(f"--input expects view=KxHxW items, got {item!r}")
+        if view not in spec:
+            raise ConfigError(f"--input names view {view!r}; the model's views are "
+                              f"{', '.join(spec)}")
+        if view in named:
+            raise ConfigError(f"--input names view {view!r} twice")
+        named.add(view)
+        spec[view] = DIMS.parse(dims, f"--input {view}")
+    return spec
+
+
 def cmd_profile(args):
     if args.preset:
         model_cfg = preset_config(args.preset)
@@ -401,10 +433,7 @@ def cmd_profile(args):
     else:
         raise ConfigError("profile requires --config or --preset")
     graph = build_model(model_cfg, seed=0)
-    input_spec = None
-    if args.input:
-        k, h, w = DIMS.parse(args.input, "--input")
-        input_spec = {v: (k, h, w) for v in model_cfg.views}
+    input_spec = _profile_input(args.input, model_cfg) if args.input else None
     report = count_macs(graph, input_spec)
     payload = report.to_dict()
     payload["family"] = model_cfg.family
@@ -465,8 +494,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort with planted signal")
-    p.add_argument("--subjects", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--subjects", required=True)
+    p.add_argument("--seed", default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--dims", help="volume dims D0xD1xD2 (default 64x64x32)")
     p.set_defaults(func=cmd_synth)
@@ -487,8 +516,8 @@ def build_parser():
     p = sub.add_parser("split", help="hold-out institution + stratified folds")
     p.add_argument("--cohort", required=True)
     p.add_argument("--holdout", required=True)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--folds", default=5)
+    p.add_argument("--seed", default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
@@ -513,14 +542,15 @@ def build_parser():
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--volumes", help="override the volumes dir from the train manifest")
-    p.add_argument("--n-boot", dest="n_boot", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-boot", dest="n_boot", default=1000)
+    p.add_argument("--seed", default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("profile", help="analytic MACs / parameter report")
     p.add_argument("--config", help="model config file")
     p.add_argument("--preset", help="named preset (e.g. full-2d-trf)")
-    p.add_argument("--input", help="override input spec KxHxW")
+    p.add_argument("--input", help="override input spec: KxHxW for every view, "
+                                   "or view=KxHxW,... per view")
     p.add_argument("--out", default="report.json")
     p.add_argument("--time", action="store_true", help="also time single-sample inference")
     p.set_defaults(func=cmd_profile)

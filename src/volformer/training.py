@@ -4,6 +4,7 @@ average precision."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,9 @@ class TrainConfig:
     def validate(self):
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ConfigError(f"warmup_epochs {self.warmup_epochs} must be < epochs {self.epochs}")
+        for name in ("lr_start", "lr_main", "weight_decay", "focal_gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.lr_start, self.lr_main) <= 0:
             raise ConfigError("learning rates must be positive")
         if self.weight_decay < 0 or self.focal_gamma < 0:

@@ -175,6 +175,28 @@ class TestConvKernels:
                                                  [0.0, 0.0, 0.0]]]])
 
 
+class TestConvWeightGrad:
+    """A recorded conv's weight gradient is summed over blocks of samples
+    whose per-sample products fit ``COLUMN_BYTES``."""
+
+    @pytest.mark.parametrize("samples_per_block", [None, 1, 2])
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_GRID)
+    def test_blocks_match_tensordot(self, monkeypatch, samples_per_block, x_shape, w_shape,
+                                    stride, padding):
+        rng = np.random.default_rng(sum(x_shape) + sum(w_shape) + stride)
+        x, w = rng.normal(size=(5,) + x_shape[1:]), rng.normal(size=w_shape)
+        if samples_per_block is not None:  # 1: five blocks; 2: two and a remainder
+            monkeypatch.setattr(ag, "COLUMN_BYTES", samples_per_block * w.size * 8)
+        xt, wt = t64(x), t64(w)
+        y = ag.conv_nd(xt, wt, stride=stride, padding=padding)
+        r = rng.normal(size=y.shape)
+        ag.backward((y * r).sum())
+        n = w.ndim - 2
+        cols = ag._im2col(x, w_shape[2:], (stride,) * n, (padding,) * n, y.shape[2:])
+        ref = np.tensordot(r.reshape(5, w_shape[0], -1), cols, axes=([0, 2], [0, 2]))
+        np.testing.assert_allclose(wt.grad, ref.reshape(w_shape), rtol=1e-12, atol=1e-12)
+
+
 class TestForwardOnlyConv:
     """A conv that records no backward builds its columns per block of
     samples and stacks thin maps into one GEMM. Blocked per-sample products
@@ -312,6 +334,69 @@ class TestLayerNorm:
     def test_eps_must_be_positive(self):
         with pytest.raises(ConfigError):
             ag.layer_norm(t64(np.ones(3)), t64(np.ones(3)), t64(np.zeros(3)), eps=0.0)
+
+
+def _batch_norm_reference(x, gamma, beta, g, eps=1e-5):
+    """Float64 training BatchNorm over every axis but 1 and its backward,
+    taken step by step through the mean and the variance:
+    (y, mean, var, dx, dgamma, dbeta)."""
+    x, gamma, beta, g = (np.asarray(a, dtype=np.float64) for a in (x, gamma, beta, g))
+    axes = (0,) + tuple(range(2, x.ndim))
+    cshape = (1, -1) + (1,) * (x.ndim - 2)
+    n = x.size // x.shape[1]
+    mu = x.mean(axis=axes, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    y = xhat * gamma.reshape(cshape) + beta.reshape(cshape)
+    dxhat = g * gamma.reshape(cshape)
+    dvar = -0.5 * inv ** 3 * (dxhat * (x - mu)).sum(axis=axes, keepdims=True)
+    dmu = -inv * dxhat.sum(axis=axes, keepdims=True) - 2.0 * dvar * (x - mu).mean(
+        axis=axes, keepdims=True)
+    dx = dxhat * inv + dvar * 2.0 * (x - mu) / n + dmu / n
+    return (y, mu.reshape(-1), var.reshape(-1), dx,
+            (g * xhat).sum(axis=axes), g.sum(axis=axes))
+
+
+class TestBatchNorm:
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-4)])
+    @pytest.mark.parametrize("shape", [
+        (4, 3, 5, 6),      # 2-D, as every slice encoder
+        (3, 2, 3, 4, 5),   # 3-D, as toy-conv3d
+        (1, 3, 5, 6),      # one sample
+        (4, 1, 5, 6),      # one channel
+        (1, 1, 2, 3, 3),
+    ])
+    def test_matches_float64_reference(self, dtype, tol, shape):
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        arrays = [rng.normal(size=shape) * 3 + 1, rng.normal(size=c), rng.normal(size=c),
+                  rng.normal(size=shape)]
+        x, gamma, beta, g = (a.astype(dtype) for a in arrays)
+        ref = _batch_norm_reference(x, gamma, beta, g)
+        xt, gt, bt = (ag.tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        y, mu, var = ag.batch_norm(xt, gt, bt, (0,) + tuple(range(2, len(shape))))
+        ag.backward((y * g).sum())
+        got = (y.data, mu, var, xt.grad, gt.grad, bt.grad)
+        for name, a, r in zip(("y", "mean", "var", "dx", "dgamma", "dbeta"), got, ref):
+            assert a.dtype == dtype and a.shape == r.shape, name
+            np.testing.assert_allclose(a, r, rtol=tol, atol=tol * float(np.abs(r).max()),
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_3d_grads_match_finite_differences(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        x = t64(rng.normal(size=(2, 2, 3, 3, 4)) * 2 + 1)
+        gamma, beta = t64(rng.normal(size=2)), t64(rng.normal(size=2))
+        r = rng.normal(size=x.shape)
+        assert_grads_match(
+            lambda: (ag.batch_norm(x, gamma, beta, (0, 2, 3, 4))[0] * r).sum(), [x, gamma, beta])
+
+    @pytest.mark.parametrize("axes", [(0, 2), (2, 3), (0, 1, 2, 3), (0, 2, 3, 4), (1,)])
+    def test_other_axes_rejected(self, axes):
+        x = t64(np.ones((2, 3, 4, 4)))
+        with pytest.raises(ConfigError, match="every axis but 1"):
+            ag.batch_norm(x, t64(np.ones(3)), t64(np.zeros(3)), axes)
 
 
 class TestPool:

@@ -144,6 +144,23 @@ class TestErrorPaths:
         assert f"{flag} expects" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("synth", "--seed", -1), ("synth", "--subjects", 0), ("synth", "--subjects", "abc"),
+        ("split", "--seed", -1), ("split", "--folds", "two"),
+        ("evaluate", "--seed", -1), ("evaluate", "--n-boot", 0),
+    ])
+    def test_bad_integer_flag_exits_2_with_one_line(self, tmp_path, cohort_dir, capsys,
+                                                     command, flag, value):
+        out = tmp_path / "out"
+        cohort = cohort_dir / "cohort.csv"
+        base = {"synth": ["--subjects", 4],
+                "split": ["--cohort", cohort, "--holdout", "inst_d"],
+                "evaluate": ["--snapshots", tmp_path, "--cohort", cohort]}[command]
+        assert run(command, *base, "--out", out, flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{flag} expects" in err
+        assert not out.exists()
+
     def test_unreadable_experiment_config_exits_2(self, tmp_path, capsys):
         code = run("train", "--config", tmp_path / "absent.cfg", "--out", tmp_path / "run",
                    "--model-preset", "toy-2d-trf")
@@ -366,6 +383,36 @@ class TestProfileCommand:
         out = tmp_path / "report.json"
         assert run("profile", "--preset", "toy-conv3d", "--input", "16,24,24", "--out", out) == 0
         assert json.loads(out.read_text())["total_macs"] == 12_091_488
+
+    def test_per_view_input_at_native_shapes(self, tmp_path):
+        native, per_view = tmp_path / "native.json", tmp_path / "per_view.json"
+        assert run("profile", "--preset", "full-multiview-shared", "--out", native) == 0
+        assert run("profile", "--preset", "full-multiview-shared", "--input",
+                   "sag=64x160x160,cor=160x116x88,ax=160x116x88", "--out", per_view) == 0
+        a, b = (json.loads(p.read_text()) for p in (native, per_view))
+        assert b["input_spec"] == {"sag": [64, 160, 160], "cor": [160, 116, 88],
+                                   "ax": [160, 116, 88]}
+        assert (a["total_macs"], a["total_params"]) == (b["total_macs"], b["total_params"])
+
+    def test_per_view_input_keeps_unnamed_views(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run("profile", "--preset", "toy-multiview-shared", "--input", "cor=8x32x32",
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["input_spec"] == {
+            "sag": [8, 24, 24], "cor": [8, 32, 32], "ax": [8, 24, 24]}
+
+    @pytest.mark.parametrize("preset, spec", [
+        ("toy-2d-trf", "cor=8x24x24"),                    # a view the model lacks
+        ("toy-multiview-shared", "top=8x24x24"),          # not a view at all
+        ("toy-multiview-shared", "sag=8x24x24,sag=8x24x24"),
+        ("toy-multiview-shared", "sag=8,24,24"),          # items split on commas
+        ("toy-multiview-shared", "sag=8x24"),
+    ])
+    def test_bad_per_view_input_exits_2(self, tmp_path, capsys, preset, spec):
+        out = tmp_path / "report.json"
+        assert run("profile", "--preset", preset, "--input", spec, "--out", out) == 2
+        assert "--input" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_profile_with_timing(self, tmp_path):
         out = tmp_path / "timed.json"

@@ -88,6 +88,12 @@ class TestLrSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(lr_main=0.0).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["lr_start", "lr_main", "weight_decay", "focal_gamma"])
+    def test_non_finite_config_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value}).validate()
+
 
 class TestAdamStep:
     def test_first_step_is_minus_lr(self):
