@@ -90,10 +90,15 @@ class ModelConfig:
             raise ConfigError(f"family {self.family} requires >=2 views, got {self.views}")
         if self.family not in MULTIVIEW_FAMILIES and len(self.views) != 1:
             raise ConfigError(f"family {self.family} takes exactly one view, got {self.views}")
-        if self.aggregator.model_dim % self.aggregator.heads != 0:
-            raise ConfigError(
-                f"model_dim {self.aggregator.model_dim} not divisible by "
-                f"heads {self.aggregator.heads}")
+        agg = self.aggregator
+        if not 0.0 <= agg.dropout < 1.0:  # also false for nan
+            raise ConfigError(f"aggregator dropout must be in [0, 1), got {agg.dropout}")
+        if not 0.0 < agg.mlp_ratio < math.inf:
+            raise ConfigError(f"aggregator mlp_ratio must be finite and > 0, got {agg.mlp_ratio}")
+        if agg.heads < 1:
+            raise ConfigError(f"aggregator heads must be >= 1, got {agg.heads}")
+        if agg.model_dim % agg.heads != 0:
+            raise ConfigError(f"model_dim {agg.model_dim} not divisible by heads {agg.heads}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >=2, got {self.num_classes}")
         if len(self.encoder.stage_widths) != len(self.encoder.blocks_per_stage):

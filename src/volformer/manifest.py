@@ -4,8 +4,10 @@ replayed. Wall-clock fields are the only non-reproducible entries."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 
@@ -18,6 +20,22 @@ def file_sha256(path):
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextlib.contextmanager
+def atomic_writer(path, mode="w", **kwargs):
+    """Open a temporary file beside ``path`` for writing. On a clean exit it
+    replaces ``path`` in one ``os.replace``; on an error it is removed, so
+    ``path`` keeps its old contents or is never created."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def config_hash(config: dict) -> str:
@@ -47,7 +65,7 @@ def write_manifest(out_dir, command, config, inputs, outputs, seeds, extra=None)
         "wall_clock": {"written_at_unix": time.time()},
     }
     path = out_dir / f"manifest_{command}.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path

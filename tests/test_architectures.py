@@ -1,3 +1,4 @@
+import dataclasses
 import string
 
 import numpy as np
@@ -129,6 +130,34 @@ class TestBuildModel:
             # survivors must be genuinely valid configurations
             graph.predict_proba(np.zeros((cfg.slice_count["sag"], 24, 24), np.float32))
         assert rejected >= 40
+
+
+class TestModelConfigValidate:
+    @pytest.mark.parametrize("field,value,match", [
+        ("dropout", float("nan"), "dropout"),
+        ("dropout", -0.1, "dropout"),
+        ("dropout", 1.0, "dropout"),
+        ("dropout", float("inf"), "dropout"),
+        ("mlp_ratio", float("nan"), "mlp_ratio"),
+        ("mlp_ratio", float("inf"), "mlp_ratio"),
+        ("mlp_ratio", 0.0, "mlp_ratio"),
+        ("mlp_ratio", -1.0, "mlp_ratio"),
+        ("heads", 0, "heads must be >= 1"),
+        ("heads", -2, "heads must be >= 1"),
+    ])
+    def test_bad_aggregator_numbers_rejected(self, field, value, match):
+        cfg = toy_config()
+        cfg = dataclasses.replace(cfg, aggregator=dataclasses.replace(cfg.aggregator,
+                                                                      **{field: value}))
+        with pytest.raises(ConfigError, match=match):
+            cfg.validate()
+
+    @pytest.mark.parametrize("field,value", [("dropout", 0.0), ("dropout", 0.999),
+                                             ("mlp_ratio", 0.25), ("heads", 1)])
+    def test_edge_values_accepted(self, field, value):
+        cfg = toy_config()
+        dataclasses.replace(cfg, aggregator=dataclasses.replace(cfg.aggregator,
+                                                                **{field: value})).validate()
 
 
 class TestForwardSlicewise:

@@ -1,8 +1,11 @@
+import json
 import time
 
 import numpy as np
 import pytest
 
+from volformer import manifest
+from volformer import volume as volume_module
 from volformer.cohort import CLASS_FAST, CLASS_NONE, CLASS_SLOW, derive_label
 from volformer.errors import ConfigError, DataError
 from volformer.synth import DEFAULT_CLASS_PROBS, SynthSpec, synth_generate
@@ -12,12 +15,9 @@ from volformer.volume import (
     SliceStack,
     Volume,
     augment,
-    center_crop,
-    downsample,
     extract_slices,
     load_volume,
     preprocess,
-    quantize_u8,
     read_volume_header,
     reproject,
     rotate_slices,
@@ -41,6 +41,8 @@ class TestVolumeIO:
         save_volume(vol, path)
         back = load_volume(path)
         np.testing.assert_array_equal(back.voxels, vol.voxels)
+        assert back.voxels.dtype == dtype
+        assert back.voxels.flags.writeable and back.voxels.flags.owndata
         assert back.spacing == pytest.approx(vol.spacing)
 
     def test_header_only_file_reports_offset(self, tmp_path):
@@ -85,6 +87,17 @@ class TestVolumeIO:
         assert per_file < 1e-3, f"header scan took {per_file * 1e3:.3f} ms/file"
 
 
+def reference_chain(voxels, spacing, crop, factors):
+    """The crop / quantise / downsample chain on whole float64 arrays."""
+    start = [(d - c) // 2 for d, c in zip(voxels.shape, crop)]
+    v = voxels[tuple(slice(s, s + c) for s, c in zip(start, crop))].astype(np.float64)
+    lo, hi = v.min(), v.max()
+    q = np.round((v - lo) / (hi - lo) * 255.0) if hi > lo else np.zeros_like(v)
+    shape = [n for c, f in zip(crop, factors) for n in (c // f, f)]
+    out = np.round(q.reshape(shape).mean(axis=(1, 3, 5))).astype(np.uint8)
+    return out, tuple(s * f for s, f in zip(spacing, factors))
+
+
 class TestPreprocess:
     def test_default_chain_dims_and_spacing(self):
         rng = np.random.default_rng(4)
@@ -93,40 +106,149 @@ class TestPreprocess:
         assert out.dims == (160, 160, 64)
         assert out.spacing == pytest.approx((0.74, 0.74, 1.4))
         assert out.voxels.dtype == np.uint8
+        np.testing.assert_array_equal(out.voxels, reference_chain(
+            vol.voxels, vol.spacing, (320, 320, 128), (2, 2, 2))[0])
 
-    def test_constant_volume_maps_to_zero(self):
-        vol = Volume(np.full((8, 8, 8), 7.5, np.float32), (1, 1, 1))
-        out = quantize_u8(vol)
+    # odd offsets: every axis crops an odd number of voxels
+    @pytest.mark.parametrize("dims,crop,factors", [
+        ((21, 20, 19), (18, 17, 14), (1, 1, 1)),
+        ((37, 33, 25), (32, 30, 16), (2, 2, 2)),
+        ((40, 35, 23), (27, 30, 16), (3, 2, 1)),
+        ((41, 39, 37), (36, 32, 28), (4, 4, 4)),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_matches_float64_reference(self, dims, crop, factors, dtype):
+        rng = np.random.default_rng(sum(dims))
+        if dtype == np.uint8:
+            vox = rng.integers(3, 251, dims, dtype=np.uint8)
+        else:
+            vox = (rng.standard_normal(dims) * 400.0 + 90.0).astype(np.float32)
+        vol = Volume(vox, (0.37, 0.5, 0.7))
+        out = preprocess(vol, crop, factors)
+        expected, spacing = reference_chain(vox, vol.spacing, crop, factors)
+        assert out.voxels.dtype == np.uint8
+        np.testing.assert_array_equal(out.voxels, expected)
+        assert out.spacing == spacing
+
+    @pytest.mark.parametrize("rows", [28, 30])
+    def test_slabs_with_and_without_remainder(self, monkeypatch, rows):
+        # one 2-row group of a (.., 8, 8) crop is 1 KiB of float64: slabs of 6
+        # rows leave a 4-row remainder of 28 rows and none of 30
+        monkeypatch.setattr(volume_module, "SLAB_BYTES", 3 * 2 * 8 * 8 * 8)
+        rng = np.random.default_rng(15)
+        vox = rng.random((rows + 3, 11, 9)).astype(np.float32)
+        out = preprocess(Volume(vox, (1, 1, 1)), (rows, 8, 8), (2, 2, 2))
+        np.testing.assert_array_equal(
+            out.voxels, reference_chain(vox, (1, 1, 1), (rows, 8, 8), (2, 2, 2))[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_constant_volume_maps_to_zero(self, dtype):
+        vol = Volume(np.full((8, 8, 8), 7, dtype), (1, 1, 1))
+        out = preprocess(vol, (6, 6, 6), (2, 3, 1))
+        assert out.dims == (3, 2, 6)
         np.testing.assert_array_equal(out.voxels, 0)
 
     def test_quantize_linspace_hits_every_level_once(self):
         vol = Volume(np.linspace(0.0, 1.0, 256).reshape(256, 1, 1).astype(np.float32), (1, 1, 1))
-        out = quantize_u8(vol)
+        out = preprocess(vol, (256, 1, 1), (1, 1, 1))
         values, counts = np.unique(out.voxels, return_counts=True)
         np.testing.assert_array_equal(values, np.arange(256))
         np.testing.assert_array_equal(counts, 1)
 
     def test_quantize_spans_full_range(self):
         rng = np.random.default_rng(5)
-        out = quantize_u8(Volume(rng.random((12, 12, 12)).astype(np.float32), (1, 1, 1)))
+        vol = Volume(rng.random((12, 12, 12)).astype(np.float32), (1, 1, 1))
+        out = preprocess(vol, (12, 12, 12), (1, 1, 1))
         assert out.voxels.min() == 0
         assert out.voxels.max() == 255
 
     def test_crop_larger_than_volume_rejected(self):
         vol = random_volume(np.random.default_rng(6), dims=(8, 8, 8))
         with pytest.raises(ConfigError, match="crop"):
-            center_crop(vol, (16, 8, 8))
+            preprocess(vol, (16, 8, 8), (1, 1, 1))
+
+    def test_non_positive_crop_and_factors_rejected(self):
+        vol = random_volume(np.random.default_rng(6), dims=(8, 8, 8))
+        with pytest.raises(ConfigError, match="crop dims must be positive"):
+            preprocess(vol, (8, 0, 8), (1, 1, 1))
+        with pytest.raises(ConfigError, match="factors must be >=1"):
+            preprocess(vol, (8, 8, 8), (2, 0, 2))
 
     def test_downsample_requires_divisible_dims(self):
         vol = random_volume(np.random.default_rng(7), dims=(9, 8, 8))
         with pytest.raises(ConfigError, match="divisible"):
-            downsample(vol, (2, 2, 2))
+            preprocess(vol, (9, 8, 8), (2, 2, 2))
 
     def test_downsample_is_block_average(self):
-        vox = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
-        out = downsample(Volume(vox, (1, 1, 1)), (2, 2, 2))
-        assert out.voxels[0, 0, 0] == pytest.approx(3.5)
+        # 0 and 255 are present, so quantisation leaves the levels as they are
+        vox = np.array([0, 255, 10, 20, 30, 40, 50, 60], np.uint8).reshape(2, 2, 2)
+        out = preprocess(Volume(vox, (1, 1, 1)), (2, 2, 2), (2, 2, 2))
+        assert out.voxels[0, 0, 0] == 58  # round(465 / 8)
         assert out.spacing == (2.0, 2.0, 2.0)
+
+
+class _FailingFile:
+    """Wraps a real file: its second write stores half of its data, then
+    raises as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicWrites:
+    @pytest.fixture
+    def fail_writes(self, monkeypatch):
+        """Calling it makes every later ``atomic_writer`` file fail mid-write;
+        returns the list of paths opened since."""
+        opened = []
+
+        def fake_open(path, *args, **kwargs):
+            opened.append(path)
+            return _FailingFile(open(path, *args, **kwargs))
+
+        def arm():
+            monkeypatch.setattr(manifest, "open", fake_open, raising=False)
+            return opened
+
+        return arm
+
+    def test_save_volume_failure_keeps_old_file(self, tmp_path, fail_writes):
+        path = tmp_path / "v.vvol"
+        save_volume(random_volume(np.random.default_rng(16)), path)
+        old = path.read_bytes()
+        opened = fail_writes()
+        with pytest.raises(OSError, match="No space"):
+            save_volume(random_volume(np.random.default_rng(17)), path)
+        assert len(opened) == 1 and opened[0].parent == tmp_path and opened[0] != path
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["v.vvol"]
+
+    def test_write_manifest_failure_keeps_old_file(self, tmp_path, fail_writes):
+        path = manifest.write_manifest(tmp_path, "preprocess", config={"view": "sag"},
+                                       inputs=[], outputs=[], seeds={})
+        old = path.read_bytes()
+        opened = fail_writes()
+        with pytest.raises(OSError, match="No space"):
+            manifest.write_manifest(tmp_path, "preprocess", config={"view": "cor"},
+                                    inputs=[], outputs=[], seeds={})
+        assert len(opened) == 1 and opened[0].parent == tmp_path and opened[0] != path
+        assert path.read_bytes() == old
+        assert json.loads(old)["config"] == {"view": "sag"}
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestReproject:
@@ -150,6 +272,20 @@ class TestReproject:
         vol = Volume(rng.integers(0, 256, (80, 80, 32), np.uint8), (0.74, 0.74, 1.4))
         out = reproject(vol, view)
         assert abs(out.voxels.size / vol.voxels.size - 1.0) <= 0.02
+
+    @pytest.mark.parametrize("view", ["cor", "ax"])
+    @pytest.mark.parametrize("dims,side", [((32, 32, 16), 23), ((16, 16, 8), 11)])
+    def test_small_grid_gets_the_closest_isotropic_count(self, view, dims, side):
+        # a square in-slice field of view (25.6 or 12.8 mm) can only become an
+        # m x m grid, and no m x m count lies within 2% of 512 or of 128
+        vol = random_volume(np.random.default_rng(18), dims=dims, spacing=(0.8, 0.8, 1.6))
+        out = reproject(vol, view)
+        target = dims[0] * dims[2]  # in-slice voxels of the cor / ax layout
+        assert out.dims == (side, side, dims[1])
+        assert out.spacing[0] == out.spacing[1]
+        miss = abs(side * side / target - 1.0)
+        assert miss > 0.02
+        assert all(abs(m * m / target - 1.0) >= miss for m in range(1, 2 * side))
 
     def test_resampled_values_match_analytic_phantom(self):
         # smooth analytic intensity field; the reprojected grid must sample
