@@ -3,16 +3,18 @@
     python3 bench/record.py --parent HEAD~1 --change HEAD --workload prep-views \
         --pairs 10 --first-seed 601 --tag 10
 
-Both revisions are checked out as detached ``git worktree``s under a scratch
+Both revisions are checked out as detached ``git worktree``s in a temporary
 directory, and ``perfbench/run.py --workload W --seed N --seconds S --trace 0``
-runs once in each, for seeds ``first-seed .. first-seed + pairs - 1``. Pair
-``i`` runs the parent first when ``i`` is even and the change first when it
-is odd, so a drift of the machine's speed falls on both sides. Each metric of
+(``S`` is ``BENCHMARK.json``'s ``run_seconds``) runs once in each, for seeds
+``first-seed .. first-seed + pairs - 1``. Pair ``i`` runs the parent first
+when ``i`` is even and the change first when it is odd, so a drift of the
+machine's speed falls on both sides. Each metric of
 ``BENCHMARK.json``'s ``end_to_end`` list gets, per side, the median and the
 quartiles over the pairs, and the number of pairs the change won (strictly
 better in the metric's direction). The record also holds the machine
 descriptor and a one-thread float32 sgemm rate measured before the first
-pair and after the last. The worktrees are removed at the end.
+pair and after the last. The worktrees are removed at the end, and the
+record is written to ``BENCH_<tag>.json`` at the root of this checkout.
 """
 
 from __future__ import annotations
@@ -164,21 +166,19 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--tag", required=True)
-    parser.add_argument("--out", type=Path, help="default: BENCH_<tag>.json at the repo root")
-    parser.add_argument("--scratch", type=Path, help="where the worktrees go (default: a temp dir)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec, seconds = bench["end_to_end"], bench["run_seconds"]
     revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
             for side, rev in zip(SIDES, (args.parent, args.change))}
-    scratch = Path(tempfile.mkdtemp(prefix="bench-record-", dir=args.scratch))
+    scratch = Path(tempfile.mkdtemp(prefix="bench-record-"))
     trees = {side: scratch / side for side in SIDES}
     doc = {"schema": SCHEMA, "tag": args.tag,
            "command": "python3 perfbench/run.py --workload W --seed N "
-                      f"--seconds {args.seconds:g} --trace 0",
+                      f"--seconds {seconds:g} --trace 0",
            "revisions": revs, "machine": machine(),
            "sgemm_gmac_per_s": {"start": sgemm_gmac_per_s()}, "workloads": {}}
     try:
@@ -190,7 +190,7 @@ def main(argv=None):
             for i, seed in enumerate(seeds):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     t0 = time.monotonic()
-                    runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+                    runs[side].append(run_once(trees[side], workload, seed, seconds))
                     print(f"{workload} seed {seed} {side}: {time.monotonic() - t0:.1f} s, "
                           f"correct {runs[side][-1]['correct']}", file=sys.stderr)
             doc["workloads"][workload] = {
@@ -202,8 +202,7 @@ def main(argv=None):
                 git("worktree", "remove", "--force", str(trees[side]))
         shutil.rmtree(scratch, ignore_errors=True)
     doc["sgemm_gmac_per_s"]["end"] = sgemm_gmac_per_s()
-    out = args.out or ROOT / f"BENCH_{args.tag}.json"
-    out.write_text(json.dumps(check_schema(doc), indent=2) + "\n", encoding="utf-8")
+    (ROOT / f"BENCH_{args.tag}.json").write_text(json.dumps(check_schema(doc), indent=2) + "\n", encoding="utf-8")
     for workload, wl in doc["workloads"].items():
         for name, e in wl["metrics"].items():
             print(f"{workload} {name}: {e['parent']['median']:.4g} -> {e['change']['median']:.4g} "

@@ -127,19 +127,15 @@ def load_volume(path) -> Volume:
 # ---------------------------------------------------------------------------
 # preprocessing
 
-# float64 bytes of one slab of ``preprocess``'s working buffer: small enough
-# to stay in cache while it is quantised and pooled
+# float64 bytes of one slab of ``preprocess``: small enough to stay in cache
 SLAB_BYTES = 1 << 20
 
 
 def preprocess(volume: Volume, crop_dims=(320, 320, 128), factors=(2, 2, 2)) -> Volume:
     """Center crop, min-max quantise to [0, 255] (a constant crop maps to 0),
-    block-average downsample by integer factors and round to uint8.
-
-    The crop is a view, walked in slabs of whole ``factors[0]``-row groups
-    (``SLAB_BYTES`` of float64), so no full-size temporary is made. Block
-    sums of the integer levels are exact, so dividing by the count gives the
-    bits of a float64 ``mean``."""
+    block-average downsample by integer factors and round to uint8. The crop
+    view is walked in slabs of whole ``factors[0]``-row groups: no full-size
+    temporary. Integer block sums are exact, so the bits match a ``mean``."""
     crop = tuple(int(c) for c in crop_dims)
     factors = tuple(int(f) for f in factors)
     if any(c > d for c, d in zip(crop, volume.dims)):
@@ -159,8 +155,7 @@ def preprocess(volume: Volume, crop_dims=(320, 320, 128), factors=(2, 2, 2)) -> 
         return Volume(out, spacing)
     f0, f1, f2 = factors
     rows = f0 * max(1, SLAB_BYTES // (8 * f0 * crop[1] * crop[2]))
-    slab = np.empty((rows,) + crop[1:])
-    pooled = np.empty((rows // f0,) + out.shape[1:])
+    slab, pooled = np.empty((rows,) + crop[1:]), np.empty((rows // f0,) + out.shape[1:])
     blocks = list(itertools.product(range(f0), range(f1), range(f2)))
     for r in range(0, crop[0], rows):
         q, acc = slab[:min(rows, crop[0] - r)], pooled[:min(rows, crop[0] - r) // f0]
