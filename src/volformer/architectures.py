@@ -163,8 +163,7 @@ class SliceEncoder(Module):
         # shape-only pass extra pieces would only add ops
         if not ctx.training and ag.recorder is None:
             ctx = replace(ctx, folds={})  # each conv/norm pair folds once per call
-            if x.ndim == 4:
-                step = max(1, CHUNK_ELEMENTS // math.prod(x.shape[1:]))
+            step = max(1, CHUNK_ELEMENTS // math.prod(x.shape[1:]))
         if step >= n:
             return self._after_stem(x, ctx)
         return ag.concat([self._after_stem(x[i:i + step], ctx) for i in range(0, n, step)],
@@ -301,12 +300,9 @@ class SlicewiseModel(Module):
         return self.encoder
 
     def encode_slices(self, slices, view=None, ctx=EVAL_CTX):
-        """(B, k, H, W) or (k, H, W) single-channel slices -> (B, k, f)."""
+        """(B, k, H, W) single-channel slices -> (B, k, f)."""
         view = view or self.cfg.views[0]
         slices = slices if isinstance(slices, ag.Tensor) else ag.tensor(slices)
-        unbatched = slices.ndim == 3
-        if unbatched:
-            slices = ag.reshape(slices, (1,) + slices.shape)
         b, k, h, w = slices.shape
         if k != self.cfg.slice_count[view]:
             raise ShapeError(f"view {view!r} expects {self.cfg.slice_count[view]} slices, got {k}")
@@ -316,21 +312,19 @@ class SlicewiseModel(Module):
             x = ag.concat([x] * c, axis=1)  # grayscale replicated across channels
         with cost_scope(f"encoder@{view}"):
             feats = self.encoder_for(view)(x, ctx)
-        feats = ag.reshape(feats, (b, k, self.feature_dim))
-        return ag.reshape(feats, (k, self.feature_dim)) if unbatched else feats
+        return ag.reshape(feats, (b, k, self.feature_dim))
 
     def forward(self, inputs, ctx=EVAL_CTX):
-        """inputs: array/Tensor for single-view, or dict view -> array."""
+        """inputs: dict view -> (B, k, H, W) slices or one unbatched
+        (k, H, W) sample; a single-view model also takes the bare array."""
         if not isinstance(inputs, dict):
             inputs = {self.cfg.views[0]: inputs}
         missing = [v for v in self.cfg.views if v not in inputs]
         if missing:
             raise ShapeError(f"missing input view(s): {', '.join(missing)}")
-        feats = {v: self.encode_slices(inputs[v], v, ctx) for v in self.cfg.views}
-        first = feats[self.cfg.views[0]]
-        unbatched = first.ndim == 2
-        if unbatched:
-            feats = {v: ag.reshape(t, (1,) + t.shape) for v, t in feats.items()}
+        unbatched = np.ndim(inputs[self.cfg.views[0]]) == 3
+        feats = {v: self.encode_slices(inputs[v][None] if unbatched else inputs[v], v, ctx)
+                 for v in self.cfg.views}
         if isinstance(self.aggregator, TransformerAggregator):
             logits = self.aggregator(feats, ctx)
         else:
@@ -368,14 +362,13 @@ class VolumetricModel(Module):
         self.head = Linear(channels, cfg.num_classes, init)
 
     def forward(self, volume, ctx=EVAL_CTX):
-        """(B, D, H, W) or (D, H, W) single-channel volumes -> logits."""
+        """(B, D, H, W) volumes or one unbatched (D, H, W) volume, bare or
+        in a one-view dict -> logits."""
         if isinstance(volume, dict):
             volume = volume[self.cfg.views[0]]
         x = volume if isinstance(volume, ag.Tensor) else ag.tensor(volume)
         unbatched = x.ndim == 3
-        if unbatched:
-            x = ag.reshape(x, (1,) + x.shape)
-        x = ag.reshape(x, (x.shape[0], 1) + x.shape[1:])
+        x = ag.reshape(x, (-1, 1) + x.shape[-3:])
         if self.cfg.encoder.in_channels > 1:
             x = ag.concat([x] * self.cfg.encoder.in_channels, axis=1)
         x = ag.relu(self.stem_bn(self.stem(x, ctx), ctx))
@@ -423,10 +416,6 @@ class ModelGraph:
 
     def state_dict(self):
         return self.module.state_dict()
-
-    def save(self, path):
-        from .checkpoint import save_checkpoint
-        save_checkpoint(path, self.state_dict())
 
 
 def build_model(cfg: ModelConfig, seed=0, dtype=np.float32) -> ModelGraph:

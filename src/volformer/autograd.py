@@ -78,12 +78,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate_grad(self, g):
         # grads are rebound, never mutated in place, so aliasing is safe
         if self.grad is None:
@@ -732,8 +726,8 @@ def _conv_weight_grad(g, cols):
 def conv_nd(x, w, stride=1, padding=0):
     """N-dimensional cross-correlation, N in {1, 2, 3}.
 
-    ``x`` is (B, C_in, *spatial) or unbatched (C_in, *spatial); ``w`` is
-    (C_out, C_in, *kernel). Differentiable w.r.t. both operands. One GEMM
+    ``x`` is (B, C_in, *spatial); ``w`` is (C_out, C_in, *kernel).
+    Differentiable w.r.t. both operands. One GEMM
     ``W(C_out, C_in*K) @ cols(B, C_in*K, L)`` gives the output in NCHW; a
     result that records no backward keeps no columns (:func:`_conv_forward`).
     """
@@ -741,9 +735,6 @@ def conv_nd(x, w, stride=1, padding=0):
     n = w.ndim - 2
     if n not in (1, 2, 3):
         raise ConfigError(f"conv kernel must have 1-3 spatial dims, got weight shape {w.shape}")
-    unbatched = x.ndim == n + 1
-    if unbatched:
-        x = reshape(x, (1,) + x.shape)
     if x.ndim != n + 2:
         raise ShapeError(f"conv input rank {x.ndim} incompatible with weight {w.shape}")
     if x.shape[1] != w.shape[1]:
@@ -754,14 +745,12 @@ def conv_nd(x, w, stride=1, padding=0):
     lout = _conv_out_extents(x.shape[2:], kernel, stride, padding)
     if recorder is not None:
         recorder.add_macs(x.shape[0] * math.prod(lout) * w.size)
-        out = meta((x.shape[0], w.shape[0]) + lout, np.result_type(x.dtype, w.dtype))
-        return reshape(out, out.shape[1:]) if unbatched else out
+        return meta((x.shape[0], w.shape[0]) + lout, np.result_type(x.dtype, w.dtype))
 
     wmat = w.data.reshape(w.shape[0], -1)
     if not (_grad_enabled and (x.requires_grad or w.requires_grad)):
-        out = Tensor(_conv_forward(x.data, wmat, kernel, stride, padding, lout)
-                     .reshape((x.shape[0], w.shape[0]) + lout))
-        return reshape(out, out.shape[1:]) if unbatched else out
+        return Tensor(_conv_forward(x.data, wmat, kernel, stride, padding, lout)
+                      .reshape((x.shape[0], w.shape[0]) + lout))
     cols = _im2col(x.data, kernel, stride, padding, lout)
     out_data = np.matmul(wmat, cols).reshape((x.shape[0], w.shape[0]) + lout)
 
@@ -772,8 +761,7 @@ def conv_nd(x, w, stride=1, padding=0):
         if x.requires_grad:
             x.accumulate_grad(_col2im(np.matmul(wmat.T, g), x.shape, kernel, stride, padding, lout))
 
-    out = _make(out_data, (x, w), bw)
-    return reshape(out, out.shape[1:]) if unbatched else out
+    return _make(out_data, (x, w), bw)
 
 
 def _pool_geometry(shape, window, stride, padding):

@@ -1,8 +1,8 @@
 """Command-line entry point: reproducible experiment commands over the
 synth / preprocess / label / split / train / evaluate / profile / curves
 workflow. Every command writes a manifest beside its outputs; exit codes are
-2 for configuration errors, 3 for data errors and dead fold workers, 4 for
-training divergence."""
+2 for configuration errors, 3 for data errors, dead fold workers and running
+out of memory, 4 for training divergence."""
 
 from __future__ import annotations
 
@@ -578,6 +578,9 @@ def main(argv=None):
         return EXIT_DATA
     except VolformerError as exc:
         print(f"volformer: error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"volformer: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -37,19 +37,23 @@ def _validate_binary(scores, labels):
     return scores, labels.astype(int)
 
 
-def average_precision(scores, labels):
-    """AP = sum over descending thresholds of (R_n - R_{n-1}) * P_n."""
+def _threshold_counts(scores, labels):
+    """Per descending-score tie group: its threshold, the true positives and
+    the samples scored at or above it. The last group holds every sample,
+    so ``tp[-1]`` is the positive count."""
     scores, labels = _validate_binary(scores, labels)
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
     # threshold group boundaries: last index of each tie group
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.append(boundary, len(scores) - 1)
-    tp = np.cumsum(sorted_labels)[ends]
-    n_seen = ends + 1
+    ends = np.append(np.nonzero(np.diff(sorted_scores))[0], len(scores) - 1)
+    return sorted_scores[ends], np.cumsum(labels[order])[ends], ends + 1
+
+
+def average_precision(scores, labels):
+    """AP = sum over descending thresholds of (R_n - R_{n-1}) * P_n."""
+    _, tp, n_seen = _threshold_counts(scores, labels)
     precision = tp / n_seen
-    recall = tp / labels.sum()
+    recall = tp / tp[-1]
     prev_recall = np.concatenate([[0.0], recall[:-1]])
     return float(np.sum((recall - prev_recall) * precision))
 
@@ -69,18 +73,11 @@ def roc_auc(scores, labels):
 
 def roc_curve_points(scores, labels):
     """(threshold, fpr, tpr) rows, thresholds descending, anchored at (0,0)."""
-    scores, labels = _validate_binary(scores, labels)
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.append(boundary, len(scores) - 1)
-    tp = np.cumsum(sorted_labels)[ends]
-    fp = (ends + 1) - tp
-    n_pos, n_neg = labels.sum(), len(labels) - labels.sum()
+    thresholds, tp, n_seen = _threshold_counts(scores, labels)
+    fp = n_seen - tp
     rows = [(float("inf"), 0.0, 0.0)]
-    rows += [(float(sorted_scores[e]), float(f / n_neg), float(t / n_pos))
-             for e, f, t in zip(ends, fp, tp)]
+    rows += [(float(s), float(f / fp[-1]), float(t / tp[-1]))
+             for s, f, t in zip(thresholds, fp, tp)]
     return rows
 
 
@@ -90,18 +87,12 @@ def pr_curve_points(scores, labels):
     The recall-0 anchor carries the precision of the top-ranked threshold
     group, the standard convention for the left edge of the curve.
     """
-    scores, labels = _validate_binary(scores, labels)
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.append(boundary, len(scores) - 1)
-    tp = np.cumsum(sorted_labels)[ends]
-    precision = tp / (ends + 1)
-    recall = tp / labels.sum()
+    thresholds, tp, n_seen = _threshold_counts(scores, labels)
+    precision = tp / n_seen
+    recall = tp / tp[-1]
     rows = [(float("inf"), 0.0, float(precision[0]))]
-    rows += [(float(sorted_scores[e]), float(r), float(p))
-             for e, r, p in zip(ends, recall, precision)]
+    rows += [(float(s), float(r), float(p))
+             for s, r, p in zip(thresholds, recall, precision)]
     return rows
 
 

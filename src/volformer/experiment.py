@@ -25,24 +25,18 @@ def preprocess_views(volume: Volume, views, crop_dims, factors):
     return out
 
 
-def assemble_samples(labelled, volumes, views, crop_dims, factors,
-                     expected_spec=None) -> SampleSet:
-    """Build a SampleSet from (record, label) pairs and their volumes.
-
-    ``volumes`` is either a dict knee_id -> Volume or a directory of
-    ``<knee_id>.vvol`` files. All knees must produce identical slice shapes.
+def assemble_samples(labelled, volumes, views, crop_dims, factors) -> SampleSet:
+    """Build a SampleSet from (record, label) pairs and the directory
+    ``volumes`` of ``<knee_id>.vvol`` files. All knees must produce
+    identical slice shapes.
     """
     knee_ids, labels = [], []
     per_view = {v: [] for v in views}
     for record, label in labelled:
-        if isinstance(volumes, dict):
-            vol = volumes[record.knee_id]
-        else:
-            path = Path(volumes) / f"{record.knee_id}.vvol"
-            if not path.exists():
-                raise DataError(f"missing volume file {path}")
-            vol = load_volume(path)
-        stacks = preprocess_views(vol, views, crop_dims, factors)
+        path = Path(volumes) / f"{record.knee_id}.vvol"
+        if not path.exists():
+            raise DataError(f"missing volume file {path}")
+        stacks = preprocess_views(load_volume(path), views, crop_dims, factors)
         for v in views:
             per_view[v].append(stacks[v])
         knee_ids.append(record.knee_id)
@@ -54,10 +48,7 @@ def assemble_samples(labelled, volumes, views, crop_dims, factors,
         except ValueError:
             shapes = sorted({a.shape for a in per_view[v]})
             raise DataError(f"view {v!r} produced inconsistent slice shapes: {shapes}") from None
-    sample_set = SampleSet(knee_ids=knee_ids, labels=np.asarray(labels), slices=slices)
-    if expected_spec is not None:
-        check_sample_spec(sample_set, expected_spec)
-    return sample_set
+    return SampleSet(knee_ids=knee_ids, labels=np.asarray(labels), slices=slices)
 
 
 def check_sample_spec(sample_set: SampleSet, cfg: ModelConfig):

@@ -43,7 +43,7 @@ class AttentionConfig:
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over a token sequence, shape-preserving.
 
-    Accepts (B, L, d) or unbatched (L, d) token stacks. Its cost rows are
+    Takes (B, L, d) token stacks. Its cost rows are
     ``attn_proj`` (the four projections) and ``attn_scores`` (the two L x L
     products).
     """
@@ -61,9 +61,6 @@ class MultiHeadAttention(Module):
         self.drop = Dropout(cfg.dropout_rate)
 
     def forward(self, tokens, ctx=EVAL_CTX):
-        unbatched = tokens.ndim == 2
-        if unbatched:
-            tokens = ag.reshape(tokens, (1,) + tokens.shape)
         b, l, d = tokens.shape
         h = self.cfg.heads
         dh = d // h
@@ -80,8 +77,7 @@ class MultiHeadAttention(Module):
             mixed = ag.matmul(attn, v)  # (B, h, L, dh)
         merged = ag.reshape(ag.transpose(mixed, (0, 2, 1, 3)), (b, l, d))
         with cost_scope("attn_proj", folded=True):
-            out = self.wo(merged, ctx)
-        return ag.reshape(out, (l, d)) if unbatched else out
+            return self.wo(merged, ctx)
 
 
 class TransformerBlock(Module):
@@ -122,7 +118,6 @@ class BottleneckBlock(Module):
         if width < 1 or in_channels < 1:
             raise ConfigError(f"bottleneck widths must be positive, got {in_channels}/{width}")
         out_channels = width * self.expansion
-        self.dims = dims
         self.conv1 = Conv(in_channels, width, 1, init, dims=dims)
         self.bn1 = BatchNorm(width, init, dims=dims)
         self.conv2 = Conv(width, width, 3, init, stride=stride, padding=1, dims=dims)
@@ -136,15 +131,11 @@ class BottleneckBlock(Module):
             self.proj = None
 
     def forward(self, x, ctx=EVAL_CTX):
-        unbatched = x.ndim == self.dims + 1
-        if unbatched:
-            x = ag.reshape(x, (1,) + x.shape)
         out = ag.relu(conv_norm(self.conv1, self.bn1, x, ctx))
         out = ag.relu(conv_norm(self.conv2, self.bn2, out, ctx))
         out = conv_norm(self.conv3, self.bn3, out, ctx)
         skip = x if self.proj is None else conv_norm(self.proj, self.proj_bn, x, ctx)
-        out = ag.relu(out + skip)
-        return ag.reshape(out, out.shape[1:]) if unbatched else out
+        return ag.relu(out + skip)
 
 
 class BiLSTM(Module):
@@ -184,17 +175,13 @@ class BiLSTM(Module):
         return hidden
 
     def forward(self, seq, ctx=EVAL_CTX):
-        unbatched = seq.ndim == 2
-        if unbatched:
-            seq = ag.reshape(seq, (1,) + seq.shape)
         k = seq.shape[1]
         if k < 1:
             raise UsageError("BiLSTM requires a non-empty sequence")
         steps = [seq[:, t, :] for t in range(k)]
         fw = self._run(steps, "fw", ctx)
         bw = self._run(steps[::-1], "bw", ctx)
-        out = ag.concat([fw, bw], axis=1)
-        return ag.reshape(out, (2 * self.hidden_dim,)) if unbatched else out
+        return ag.concat([fw, bw], axis=1)
 
 
 def factorized_mid_width(in_channels, out_channels, spatial_kernel=3, depth_kernel=3):
@@ -212,8 +199,8 @@ class Conv2Plus1dBlock(Module):
 
     The intermediate width is chosen so the two factors together carry the
     same parameter budget as the full 3x3x3 convolution they replace.
-    Input layout is (C, D, H, W) with D the through-plane axis (plus an
-    optional leading batch dim). Stride applies to all three axes.
+    Input layout is (B, C, D, H, W) with D the through-plane axis. Stride
+    applies to all three axes.
     """
 
     def __init__(self, in_channels, out_channels, init, stride=1):
@@ -231,8 +218,4 @@ class Conv2Plus1dBlock(Module):
                           stride=(st[0], 1, 1), padding=(1, 0, 0), dims=3)
 
     def forward(self, x, ctx=EVAL_CTX):
-        unbatched = x.ndim == 4
-        if unbatched:
-            x = ag.reshape(x, (1,) + x.shape)
-        out = self.depth(ag.relu(self.bn_mid(self.spatial(x, ctx), ctx)), ctx)
-        return ag.reshape(out, out.shape[1:]) if unbatched else out
+        return self.depth(ag.relu(self.bn_mid(self.spatial(x, ctx), ctx)), ctx)

@@ -133,10 +133,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_buffer(self, name, arr):
-        self._buffers[name] = np.asarray(arr)
-        object.__setattr__(self, name, self._buffers[name])
-
     def set_buffer(self, name, arr):
         self._buffers[name] = np.asarray(arr)
         object.__setattr__(self, name, self._buffers[name])
@@ -368,8 +364,8 @@ class BatchNorm(Module):
         self.momentum = momentum
         self.gamma = init.param((channels,), "ones")
         self.beta = init.param((channels,), "zeros")
-        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float64))
-        self.register_buffer("running_var", np.ones(channels, dtype=np.float64))
+        self.set_buffer("running_mean", np.zeros(channels, dtype=np.float64))
+        self.set_buffer("running_var", np.ones(channels, dtype=np.float64))
 
     def forward(self, x, ctx=EVAL_CTX):
         if ctx.training:

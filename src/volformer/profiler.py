@@ -111,9 +111,6 @@ def time_inference(graph: ModelGraph, input_spec=None, warmup=5, runs=30, seed=0
     spec = dict(input_spec) if input_spec else graph.input_spec
     rng = np.random.default_rng(seed)
     sample = {v: rng.random(shape).astype(np.float32) for v, shape in spec.items()}
-    if len(sample) == 1 and graph.config.family in ("2d_trf", "2d_fc", "2d_bilstm",
-                                                    "conv3d", "conv2plus1d"):
-        sample = next(iter(sample.values()))
     try:
         graph.predict_proba(sample)  # materializes parameters outside timing
         times = []

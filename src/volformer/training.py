@@ -28,7 +28,6 @@ class TrainConfig:
     focal_gamma: float = 2.0
     batch_size: int = 4
     seed: int = 0
-    snapshot_metric: str = "average_precision"
     augment_policy: AugmentPolicy = field(default_factory=AugmentPolicy)
 
     def validate(self):
@@ -43,8 +42,6 @@ class TrainConfig:
             raise ConfigError("weight_decay and focal_gamma must be non-negative")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.snapshot_metric != "average_precision":
-            raise ConfigError(f"unsupported snapshot metric {self.snapshot_metric!r}")
         return self
 
 
@@ -193,11 +190,8 @@ def predict_proba_batched(graph: ModelGraph, sample_set: SampleSet, batch_size=1
     probs = np.zeros((n, graph.config.num_classes), dtype=np.float64)
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
-        batch = {v: sample_set.slices[v][sl].astype(np.float32) / 255.0 for v in views}
-        if len(views) == 1:
-            probs[sl] = graph.predict_proba(batch[views[0]])
-        else:
-            probs[sl] = graph.predict_proba(batch)
+        probs[sl] = graph.predict_proba(
+            {v: sample_set.slices[v][sl].astype(np.float32) / 255.0 for v in views})
     return probs
 
 
@@ -239,8 +233,7 @@ def train_fold(model_cfg: ModelConfig, data: FoldData, fold_index, train_cfg: Tr
                 idx = epoch_idx[start:start + train_cfg.batch_size]
                 batch = train.subset(idx)
                 inputs = _augment_batch(batch.slices, views, aug_rng, train_cfg.augment_policy)
-                x = inputs if len(views) > 1 else inputs[views[0]]
-                logits = graph.forward(x, ctx)
+                logits = graph.forward(inputs, ctx)
                 probs = ag.softmax(logits, axis=-1)
                 loss = focal_loss(probs, batch.labels, train_cfg.focal_gamma)
                 if not np.isfinite(loss.item()):

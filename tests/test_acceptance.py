@@ -149,18 +149,18 @@ def _case_focal_softmax(rng):
 def _case_attention(rng):
     mha = MultiHeadAttention(AttentionConfig(8, 2), ParamInit(int(rng.integers(1 << 30)),
                                                               np.float64))
-    tokens = _t(rng, (3, 8))
+    tokens = _t(rng, (1, 3, 8))
     params = [p.tensor for _, p in mha.named_parameters()]
-    r = rng.normal(size=(3, 8))
+    r = rng.normal(size=(1, 3, 8))
     return lambda: (mha(tokens, EVAL_CTX) * r).sum(), [tokens] + params
 
 
 def _case_transformer_block(rng):
     block = TransformerBlock(AttentionConfig(8, 2), ParamInit(int(rng.integers(1 << 30)),
                                                               np.float64))
-    tokens = _t(rng, (4, 8))
+    tokens = _t(rng, (1, 4, 8))
     params = [p.tensor for _, p in block.named_parameters()]
-    r = rng.normal(size=(4, 8))
+    r = rng.normal(size=(1, 4, 8))
     return lambda: (block(tokens, EVAL_CTX) * r).sum(), [tokens] + params
 
 

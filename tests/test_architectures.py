@@ -164,22 +164,22 @@ class TestForwardSlicewise:
     def test_duplicated_slice_duplicates_feature_row(self):
         graph = build_model(toy_config("2d_trf", slice_count=4), seed=3)
         rng = np.random.default_rng(1)
-        slices = rng.random((4, 24, 24)).astype(np.float32)
-        slices[2] = slices[0]
-        feats = graph.module.encode_slices(slices).data
+        slices = rng.random((1, 4, 24, 24)).astype(np.float32)
+        slices[0, 2] = slices[0, 0]
+        feats = graph.module.encode_slices(slices).data[0]
         np.testing.assert_array_equal(feats[2], feats[0])
         assert not np.array_equal(feats[1], feats[0])
 
     def test_output_shape_is_k_by_final_width(self):
         cfg = toy_config("2d_trf", slice_count=6)
         graph = build_model(cfg, seed=4)
-        feats = graph.module.encode_slices(np.zeros((6, 24, 24), np.float32))
-        assert feats.shape == (6, cfg.encoder.feature_dim)
+        feats = graph.module.encode_slices(np.zeros((1, 6, 24, 24), np.float32))
+        assert feats.shape == (1, 6, cfg.encoder.feature_dim)
 
     def test_slice_count_mismatch_rejected(self):
         graph = build_model(toy_config("2d_trf", slice_count=4), seed=5)
         with pytest.raises(ShapeError, match="expects 4 slices"):
-            graph.module.encode_slices(np.zeros((5, 24, 24), np.float32))
+            graph.module.encode_slices(np.zeros((1, 5, 24, 24), np.float32))
 
     def test_batch_equals_per_slice_loop(self):
         graph = build_model(toy_config("2d_trf", slice_count=5), seed=6)
@@ -187,8 +187,35 @@ class TestForwardSlicewise:
         batch = rng.random((3, 5, 24, 24)).astype(np.float32)
         with ag.no_grad():
             batched = graph.module.encode_slices(ag.tensor(batch)).data
-        singles = np.stack([graph.module.encode_slices(batch[i]).data for i in range(3)])
+        singles = np.concatenate([graph.module.encode_slices(batch[i:i + 1]).data
+                                  for i in range(3)])
         np.testing.assert_allclose(batched, singles, atol=1e-5)
+
+
+TOY_PRESETS = sorted(name for name in PRESETS if name.startswith("toy-"))
+
+
+class TestInputForms:
+    """The model entry is the one place that takes a single unbatched sample
+    and, for a one-view model, a bare array instead of a view dict."""
+
+    @pytest.mark.parametrize("name", TOY_PRESETS)
+    def test_single_sample_equals_batch_of_one(self, name):
+        graph = build_model(preset_config(name), seed=2)
+        rng = np.random.default_rng(3)
+        x = {v: rng.random(s).astype(np.float32) for v, s in graph.input_spec.items()}
+        single = graph.predict_proba(x)
+        assert single.shape == (graph.config.num_classes,)
+        assert np.array_equal(single, graph.predict_proba({v: a[None] for v, a in x.items()})[0])
+
+    @pytest.mark.parametrize("name", [n for n in TOY_PRESETS if len(preset_config(n).views) == 1])
+    def test_bare_array_equals_one_view_dict(self, name):
+        graph = build_model(preset_config(name), seed=4)
+        rng = np.random.default_rng(5)
+        (view, shape), = graph.input_spec.items()
+        for x in (rng.random(shape), rng.random((3,) + shape)):
+            x = x.astype(np.float32)
+            assert np.array_equal(graph.predict_proba(x), graph.predict_proba({view: x}))
 
 
 def count_stage_calls(graph, monkeypatch):

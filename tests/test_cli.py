@@ -218,6 +218,21 @@ class TestErrorPaths:
         assert "Traceback" not in err and err.count("\n") == 1
         assert os.environ.get("OMP_NUM_THREADS") == threads_before
 
+    def test_out_of_memory_exits_3_with_one_line(self, tmp_path, cohort_dir, monkeypatch,
+                                                 capsys):
+        from volformer import autograd
+        message = "Unable to allocate 15.0 MiB for an array with shape (64, 64, 30, 30)"
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(autograd, "batch_norm", no_memory)  # a training-mode op
+        code = run("train", "--cohort", cohort_dir / "cohort.csv",
+                   "--volumes", cohort_dir / "volumes", "--out", tmp_path / "run",
+                   "--model-preset", "toy-2d-trf", "--parallel-folds", 1)
+        assert code == 3
+        assert capsys.readouterr().err == f"volformer: out of memory: {message}\n"
+
 
 def test_volume_contents_hashed_past_256_files(tmp_path):
     """A one-byte edit that keeps every file's size still changes the

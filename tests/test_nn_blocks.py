@@ -24,7 +24,7 @@ def init64(seed=0):
 
 
 def rand_tokens(rng, l, d):
-    return ag.tensor(rng.normal(size=(l, d)), requires_grad=True)
+    return ag.tensor(rng.normal(size=(1, l, d)), requires_grad=True)
 
 
 class TestMultiHeadAttention:
@@ -36,22 +36,22 @@ class TestMultiHeadAttention:
         # softmax over a singleton is 1, so output = Wo(V(token))
         rng = np.random.default_rng(0)
         mha = MultiHeadAttention(AttentionConfig(8, 2), init64(1))
-        a = rng.normal(size=(1, 8))
-        b = rng.normal(size=(1, 8))
+        a = rng.normal(size=(1, 1, 8))
+        b = rng.normal(size=(1, 1, 8))
         ya = mha(ag.tensor(a), CTX).data
         yb = mha(ag.tensor(b), CTX).data
         yab = mha(ag.tensor(a + b), CTX).data
-        bias_out = mha(ag.tensor(np.zeros((1, 8))), CTX).data
+        bias_out = mha(ag.tensor(np.zeros((1, 1, 8))), CTX).data
         np.testing.assert_allclose(yab + bias_out, ya + yb, atol=1e-10)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         mha = MultiHeadAttention(AttentionConfig(8, 2), init64(3))
-        tokens = rng.normal(size=(5, 8))
+        tokens = rng.normal(size=(1, 5, 8))
         perm = rng.permutation(5)
         out = mha(ag.tensor(tokens), CTX).data
-        out_perm = mha(ag.tensor(tokens[perm]), CTX).data
-        np.testing.assert_allclose(out_perm, out[perm], atol=1e-10)
+        out_perm = mha(ag.tensor(tokens[:, perm]), CTX).data
+        np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-10)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -72,7 +72,7 @@ class TestMultiHeadAttention:
         mha = MultiHeadAttention(AttentionConfig(8, 2), init64(seed))
         tokens = rand_tokens(rng, 3, 8)
         params = [p.tensor for _, p in mha.named_parameters()]
-        r = rng.normal(size=(3, 8))
+        r = rng.normal(size=(1, 3, 8))
         assert_grads_match(lambda: (mha(tokens, CTX) * r).sum(), [tokens] + params)
 
 
@@ -87,7 +87,7 @@ class TestTransformerBlock:
         rng = np.random.default_rng(6)
         block = TransformerBlock(AttentionConfig(8, 2, mlp_ratio=2.0), init64(7))
         self._zero_residual_branches(block)
-        tokens = rng.normal(size=(5, 8))
+        tokens = rng.normal(size=(1, 5, 8))
         out = block(ag.tensor(tokens), CTX).data
         np.testing.assert_array_equal(out, tokens)
 
@@ -95,8 +95,8 @@ class TestTransformerBlock:
     def test_shape_preserved(self, k):
         rng = np.random.default_rng(8)
         block = TransformerBlock(AttentionConfig(8, 4), init64(9))
-        tokens = rng.normal(size=(k, 8))
-        assert block(ag.tensor(tokens), CTX).shape == (k, 8)
+        tokens = rng.normal(size=(1, k, 8))
+        assert block(ag.tensor(tokens), CTX).shape == (1, k, 8)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_grads_match_finite_differences(self, seed):
@@ -105,7 +105,7 @@ class TestTransformerBlock:
         block = TransformerBlock(AttentionConfig(8, 2), init64(10 + seed))
         tokens = rand_tokens(rng, 4, 8)
         params = [p.tensor for _, p in block.named_parameters()]
-        r = rng.normal(size=(4, 8))
+        r = rng.normal(size=(1, 4, 8))
         assert_grads_match(lambda: (block(tokens, CTX) * r).sum(), [tokens] + params)
 
 
@@ -115,15 +115,15 @@ class TestBottleneckBlock:
         block = BottleneckBlock(16, 4, init64(11), stride=1)  # 16 == 4*expansion
         for name in ("conv1", "conv2", "conv3"):
             getattr(block, name).weight.tensor.data[:] = 0.0
-        x = np.abs(rng.normal(size=(16, 8, 8)))  # relu-safe positive input
+        x = np.abs(rng.normal(size=(1, 16, 8, 8)))  # relu-safe positive input
         out = block(ag.tensor(x), CTX).data
         np.testing.assert_allclose(out, x, atol=1e-6)
 
     def test_stride_two_halves_spatial(self):
         rng = np.random.default_rng(12)
         block = BottleneckBlock(8, 4, init64(13), stride=2)
-        out = block(ag.tensor(rng.normal(size=(8, 9, 8))), CTX)
-        assert out.shape == (16, 5, 4)  # odd extents floor-divided: (9+1)//2, 8//2
+        out = block(ag.tensor(rng.normal(size=(1, 8, 9, 8))), CTX)
+        assert out.shape == (1, 16, 5, 4)  # odd extents floor-divided: (9+1)//2, 8//2
 
     def test_invalid_widths_rejected(self):
         with pytest.raises(ConfigError):
@@ -200,20 +200,20 @@ class TestBiLSTM:
         # give both directions identical weights
         lstm.w_ih_bw.load(lstm.w_ih_fw.tensor.data)
         lstm.w_hh_bw.load(lstm.w_hh_fw.tensor.data)
-        x = ag.tensor(rng.normal(size=(1, 4)))
+        x = ag.tensor(rng.normal(size=(1, 1, 4)))
         out = lstm(x, CTX).data
-        np.testing.assert_allclose(out[:5], out[5:], atol=1e-12)
+        np.testing.assert_allclose(out[:, :5], out[:, 5:], atol=1e-12)
 
     def test_reversal_swaps_halves(self):
         rng = np.random.default_rng(16)
         lstm = BiLSTM(4, 5, init64(17))
         lstm.w_ih_bw.load(lstm.w_ih_fw.tensor.data)
         lstm.w_hh_bw.load(lstm.w_hh_fw.tensor.data)
-        seq = rng.normal(size=(6, 4))
+        seq = rng.normal(size=(1, 6, 4))
         out = lstm(ag.tensor(seq), CTX).data
-        out_rev = lstm(ag.tensor(seq[::-1].copy()), CTX).data
-        np.testing.assert_array_equal(out_rev[:5], out[5:])
-        np.testing.assert_array_equal(out_rev[5:], out[:5])
+        out_rev = lstm(ag.tensor(seq[:, ::-1].copy()), CTX).data
+        np.testing.assert_array_equal(out_rev[:, :5], out[:, 5:])
+        np.testing.assert_array_equal(out_rev[:, 5:], out[:, :5])
 
     def test_empty_sequence_rejected(self):
         lstm = BiLSTM(4, 5, init64(18))
@@ -248,16 +248,16 @@ class TestConv2Plus1d:
     def test_output_shape_matches_padded_3d_conv(self):
         rng = np.random.default_rng(20)
         block = Conv2Plus1dBlock(2, 5, init64(21))
-        x = ag.tensor(rng.normal(size=(2, 3, 6, 6)))
+        x = ag.tensor(rng.normal(size=(1, 2, 3, 6, 6)))
         out = block(x, CTX)
         ref = ag.conv_nd(x, ag.tensor(rng.normal(size=(5, 2, 3, 3, 3))), padding=1)
-        assert out.shape == ref.shape == (5, 3, 6, 6)
+        assert out.shape == ref.shape == (1, 5, 3, 6, 6)
 
     def test_strided_output_shape(self):
         rng = np.random.default_rng(22)
         block = Conv2Plus1dBlock(2, 4, init64(23), stride=2)
-        out = block(ag.tensor(rng.normal(size=(2, 4, 6, 6))), CTX)
-        assert out.shape == (4, 2, 3, 3)
+        out = block(ag.tensor(rng.normal(size=(1, 2, 4, 6, 6))), CTX)
+        assert out.shape == (1, 4, 2, 3, 3)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grads_match_finite_differences(self, seed):

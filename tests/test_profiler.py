@@ -85,8 +85,8 @@ class TestProfileContract:
 class TestMacCounting:
     def test_conv_hand_count(self):
         conv = Conv(1, 4, 3, ParamInit(0), padding=1)
-        out, rows = shape_pass(conv, (1, 8, 8))
-        assert out.shape == (4, 8, 8)
+        out, rows = shape_pass(conv, (1, 1, 8, 8))
+        assert out.shape == (1, 4, 8, 8)
         assert rows[0].macs == 2304  # 8*8*4*9
 
     def test_linear_macs(self):
