@@ -3,8 +3,8 @@
     python3 bench/record.py --parent HEAD~1 --change HEAD --workload prep-views \
         --pairs 10 --first-seed 601 --tag 10
 
-Both revisions are checked out as detached ``git worktree``s in a temporary
-directory, and ``perfbench/run.py --workload W --seed N --seconds S --trace 0``
+The committed files of both revisions are exported with ``git archive`` into
+a temporary directory, and ``perfbench/run.py --workload W --seed N --seconds S --trace 0``
 (``S`` is ``BENCHMARK.json``'s ``run_seconds``) runs once in each, for seeds
 ``first-seed .. first-seed + pairs - 1``. Pair ``i`` runs the parent first
 when ``i`` is even and the change first when it is odd, so a drift of the
@@ -13,8 +13,14 @@ machine's speed falls on both sides. Each metric of
 quartiles over the pairs, and the number of pairs the change won (strictly
 better in the metric's direction). The record also holds the machine
 descriptor and a one-thread float32 sgemm rate measured before the first
-pair and after the last. The worktrees are removed at the end, and the
-record is written to ``BENCH_<tag>.json`` at the root of this checkout.
+pair and after the last.
+
+Before the pairs, each side's start-up is timed in fresh processes, 9 runs
+with the sides alternating: ``python -c "import volformer.cli"`` and the bare
+``volformer profile --preset full-2d-trf`` (the command ``infer-full``'s
+``tail_s`` repeats). Each gets its median and quartiles per side. The
+exported trees are removed at the end, and the record is written to
+``BENCH_<tag>.json`` at the root of this checkout.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -32,7 +39,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 1
+SCHEMA = 2  # 2 added the "startup" block; records of schema 1 have none
 SIDES = ("parent", "change")
 BLAS_ENV = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                              "NUMEXPR_NUM_THREADS")}
@@ -49,6 +56,11 @@ for _ in range(5):
     t0 = time.perf_counter(); a @ b; best = min(best, time.perf_counter() - t0)
 print(2048 ** 3 / best / 1e9)
 """
+
+
+STARTUP_RUNS = 9
+STARTUP = {"import_s": ["-c", "import volformer.cli"],
+           "profile_s": ["-m", "volformer.cli", "profile", "--preset", "full-2d-trf"]}
 
 
 def sgemm_gmac_per_s():
@@ -85,6 +97,29 @@ def quartiles(values):
     return q1, med, q3
 
 
+def side_stats(values):
+    q1, med, q3 = quartiles(values)
+    return {"median": med, "q1": q1, "q3": q3, "values": values}
+
+
+def time_startup(trees, runs=STARTUP_RUNS):
+    """Per side, the wall times of ``runs`` fresh processes of each
+    ``STARTUP`` command, the sides alternating as in the pairs."""
+    times = {side: {name: [] for name in STARTUP} for side in SIDES}
+    for i in range(runs):
+        for name, argv in STARTUP.items():
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                env = dict(os.environ, **BLAS_ENV, PYTHONPATH=str(trees[side] / "src"))
+                with tempfile.TemporaryDirectory() as cwd:  # profile writes its report here
+                    t0 = time.perf_counter()
+                    subprocess.run([sys.executable, *argv], cwd=cwd, env=env, check=True,
+                                   capture_output=True)
+                    times[side][name].append(time.perf_counter() - t0)
+    return {"runs": runs,
+            "commands": {name: shlex.join(["python", *argv]) for name, argv in STARTUP.items()},
+            **{side: {name: side_stats(v) for name, v in times[side].items()} for side in SIDES}}
+
+
 def summarize(runs, spec):
     """Per-metric statistics of one workload's pairs.
 
@@ -99,8 +134,7 @@ def summarize(runs, spec):
             continue  # a side had a run without this metric: nothing to pair
         entry = {"unit": m["unit"], "better": m["better"], "pairs": len(values["parent"])}
         for side in SIDES:
-            q1, med, q3 = quartiles(values[side])
-            entry[side] = {"median": med, "q1": q1, "q3": q3, "values": values[side]}
+            entry[side] = side_stats(values[side])
         entry["change_won"] = sum((c < p) if lower else (c > p)
                                   for p, c in zip(values["parent"], values["change"]))
         metrics[name] = entry
@@ -113,9 +147,21 @@ def check_schema(doc):
         if not cond:
             raise ValueError(f"BENCH record: {what}")
 
-    need(doc.get("schema") == SCHEMA, f"schema is not {SCHEMA}")
+    def need_stats(s, n, what):
+        need(s["q1"] <= s["median"] <= s["q3"], f"{what} quartiles")
+        need(len(s["values"]) == n, f"{what} values")
+
+    need(doc.get("schema") in (1, SCHEMA), f"schema is not 1 or {SCHEMA}")
     for key in ("tag", "command", "machine", "revisions", "sgemm_gmac_per_s", "workloads"):
         need(key in doc, f"missing {key!r}")
+    if doc["schema"] >= 2:
+        need("startup" in doc, "missing 'startup'")
+        runs = doc["startup"]["runs"]
+        need(runs >= 1 and set(doc["startup"]["commands"]) == set(STARTUP), "startup commands")
+        for side in SIDES:
+            need(set(doc["startup"][side]) == set(STARTUP), f"startup {side} commands")
+            for name, s in doc["startup"][side].items():
+                need_stats(s, runs, f"startup {side} {name}")
     need(set(doc["revisions"]) == set(SIDES), "revisions must name parent and change")
     need(set(doc["sgemm_gmac_per_s"]) == {"start", "end"}, "sgemm needs start and end")
     for key in ("cpu", "cpus", "os", "python", "numpy", "blas_threads"):
@@ -131,15 +177,21 @@ def check_schema(doc):
             need(entry["better"] in ("lower", "higher"), f"{name} {metric}: better")
             need(0 <= entry["change_won"] <= entry["pairs"], f"{name} {metric}: change_won")
             for side in SIDES:
-                s = entry[side]
-                need(s["q1"] <= s["median"] <= s["q3"], f"{name} {metric}: {side} quartiles")
-                need(len(s["values"]) == entry["pairs"], f"{name} {metric}: {side} values")
+                need_stats(entry[side], entry["pairs"], f"{name} {metric}: {side}")
     return doc
 
 
 def git(*args, cwd=ROOT):
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def export(rev, dest):
+    """The committed files of ``rev`` in the new directory ``dest``."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -183,7 +235,8 @@ def main(argv=None):
            "sgemm_gmac_per_s": {"start": sgemm_gmac_per_s()}, "workloads": {}}
     try:
         for side in SIDES:
-            git("worktree", "add", "--detach", str(trees[side]), revs[side])
+            export(revs[side], trees[side])
+        doc["startup"] = time_startup(trees)
         for workload in args.workload:
             seeds = list(range(args.first_seed, args.first_seed + args.pairs))
             runs = {side: [] for side in SIDES}
@@ -197,12 +250,12 @@ def main(argv=None):
                 "seeds": seeds, "parent_first": [i % 2 == 0 for i in range(len(seeds))],
                 "runs": runs, "metrics": summarize(runs, spec)}
     finally:
-        for side in SIDES:
-            if trees[side].exists():
-                git("worktree", "remove", "--force", str(trees[side]))
         shutil.rmtree(scratch, ignore_errors=True)
     doc["sgemm_gmac_per_s"]["end"] = sgemm_gmac_per_s()
     (ROOT / f"BENCH_{args.tag}.json").write_text(json.dumps(check_schema(doc), indent=2) + "\n", encoding="utf-8")
+    for name in STARTUP:
+        p, c = (doc["startup"][side][name]["median"] for side in SIDES)
+        print(f"startup {name}: {p:.4g} -> {c:.4g} s")
     for workload, wl in doc["workloads"].items():
         for name, e in wl["metrics"].items():
             print(f"{workload} {name}: {e['parent']['median']:.4g} -> {e['change']['median']:.4g} "

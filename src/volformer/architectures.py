@@ -365,7 +365,10 @@ class VolumetricModel(Module):
         """(B, D, H, W) volumes or one unbatched (D, H, W) volume, bare or
         in a one-view dict -> logits."""
         if isinstance(volume, dict):
-            volume = volume[self.cfg.views[0]]
+            view = self.cfg.views[0]
+            if view not in volume:
+                raise ShapeError(f"missing input view(s): {view}")
+            volume = volume[view]
         x = volume if isinstance(volume, ag.Tensor) else ag.tensor(volume)
         unbatched = x.ndim == 3
         x = ag.reshape(x, (-1, 1) + x.shape[-3:])

@@ -22,7 +22,6 @@ import contextlib
 import math
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import ConfigError, ShapeError, UsageError
 
@@ -311,6 +310,7 @@ def sigmoid(a):
     a = _as_tensor(a)
     if recorder is not None:
         return _meta_like(a)
+    from scipy.special import expit
     out_data = expit(a.data)
 
     def bw(out):
@@ -342,6 +342,7 @@ def gelu(a):
     a = _as_tensor(a)
     if recorder is not None:
         return _meta_like(a)
+    from scipy.special import erf
     cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
     out_data = a.data * cdf
 

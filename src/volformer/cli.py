@@ -7,7 +7,6 @@ out of memory, 4 for training divergence."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -39,7 +38,7 @@ from .evaluation import (
     export_curves,
 )
 from .experiment import assemble_samples, check_sample_spec
-from .manifest import file_sha256, read_manifest, write_manifest
+from .manifest import atomic_writer, file_sha256, read_manifest, write_json, write_manifest
 from .modelconfig import (
     DIMS,
     FLOAT,
@@ -194,14 +193,14 @@ def cmd_label(args):
     out.mkdir(parents=True, exist_ok=True)
     kept, excluded = _load_labelled(args.cohort)
     labels_path = out / "labels.csv"
-    with open(labels_path, "w", encoding="utf-8") as fh:
+    with atomic_writer(labels_path, "w", encoding="utf-8") as fh:
         fh.write("knee_id,class,class_name,event_month,rule_trace\n")
         for record, label in kept:
             event = "" if label.event_month is None else label.event_month
             fh.write(f"{record.knee_id},{label.progression_class},"
                      f"{CLASS_NAMES[label.progression_class]},{event},\"{label.rule_trace}\"\n")
     excl_path = out / "exclusions.csv"
-    with open(excl_path, "w", encoding="utf-8") as fh:
+    with atomic_writer(excl_path, "w", encoding="utf-8") as fh:
         fh.write("knee_id,reason\n")
         for record, reason in excluded:
             fh.write(f"{record.knee_id},{reason}\n")
@@ -218,9 +217,7 @@ def cmd_split(args):
     kept, _ = _load_labelled(args.cohort)
     splits = split_dataset(kept, args.holdout, n_folds=args.folds, seed=args.seed)
     splits_path = out / "splits.json"
-    with open(splits_path, "w", encoding="utf-8") as fh:
-        json.dump(splits.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(splits_path, splits.to_dict())
     write_manifest(out, "split",
                    config={"holdout_institution": args.holdout, "folds": args.folds},
                    inputs=[args.cohort], outputs=[splits_path], seeds={"seed": args.seed})
@@ -380,11 +377,9 @@ def cmd_evaluate(args):
     train_manifest_hashes = {m.name: file_sha256(m) for m in manifests}
 
     report_path = out / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(report_path, report.to_dict())
     pred_path = out / "predictions.csv"
-    with open(pred_path, "w", encoding="utf-8") as fh:
+    with atomic_writer(pred_path, "w", encoding="utf-8") as fh:
         fh.write("knee_id,label,p_none,p_slow,p_fast\n")
         for kid, label, p in zip(pred.knee_ids, pred.labels, pred.probs):
             fh.write(f"{kid},{label},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
@@ -442,9 +437,7 @@ def cmd_profile(args):
         payload["timing"] = time_inference(graph, input_spec).to_dict()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out, payload)
     write_manifest(out.parent, "profile",
                    config={"preset": args.preset, "config": args.config,
                            "input": args.input, "timed": bool(args.time)},

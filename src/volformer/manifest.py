@@ -38,6 +38,13 @@ def atomic_writer(path, mode="w", **kwargs):
         raise
 
 
+def write_json(path, payload):
+    """Write ``payload`` as sorted, indented JSON through ``atomic_writer``."""
+    with atomic_writer(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -65,9 +72,7 @@ def write_manifest(out_dir, command, config, inputs, outputs, seeds, extra=None)
         "wall_clock": {"written_at_unix": time.time()},
     }
     path = out_dir / f"manifest_{command}.json"
-    with atomic_writer(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     return path
 
 

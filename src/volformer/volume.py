@@ -15,7 +15,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, DataError
 from .manifest import atomic_writer
@@ -208,7 +207,14 @@ def reproject(volume: Volume, view) -> Volume:
     until m0 * m1 is within 2% of the original in-slice count, or returns the
     closest grid it visited. Paper-sized volumes land within 2%; small grids
     can miss it: 32x32x16 at (0.8, 0.8, 1.6) mm needs 512 in-slice voxels for
-    ``cor`` and gets 23 x 23 (+3.3%), 16x16x8 gets 11 x 11 (-5.5%)."""
+    ``cor`` and gets 23 x 23 (+3.3%), 16x16x8 gets 11 x 11 (-5.5%).
+
+    Resampling is bilinear with edge clamping, one slice at a time on one
+    2-D ``(m0, m1)`` coordinate grid, into one preallocated output: uint8
+    (rounded and clipped) for a uint8 volume, float32 otherwise. The slice
+    positions are whole numbers, so this equals trilinear interpolation at
+    ``(i, j, k)``, whose slice-axis terms carry zero weight, with no 3-D
+    coordinate grid and no float copy of a uint8 volume."""
     if view not in VIEW_PERMUTATIONS:
         raise ConfigError(f"unknown view {view!r}")
     perm = VIEW_PERMUTATIONS[view]
@@ -217,17 +223,23 @@ def reproject(volume: Volume, view) -> Volume:
     if abs(spacing[0] - spacing[1]) < 1e-9:
         return Volume(np.ascontiguousarray(vox), spacing)
 
+    from scipy import ndimage
     n_slices = vox.shape[2]
     m0, m1, s = _isotropic_grid(vox.shape[:2], spacing[:2], vox.size / n_slices)
-    # voxel centers at (i + 0.5) * spacing; trilinear with edge clamping
+    # voxel centers at (i + 0.5) * spacing
     src0 = ((np.arange(m0) + 0.5) * s) / spacing[0] - 0.5
     src1 = ((np.arange(m1) + 0.5) * s) / spacing[1] - 0.5
-    src2 = np.arange(n_slices, dtype=np.float64)
-    grid = np.meshgrid(src0, src1, src2, indexing="ij")
-    resampled = ndimage.map_coordinates(vox.astype(np.float32), grid, order=1, mode="nearest")
-    if volume.voxels.dtype == np.uint8:
-        resampled = np.clip(np.round(resampled), 0, 255).astype(np.uint8)
-    return Volume(resampled, (s, s, spacing[2]))
+    grid = np.meshgrid(src0, src1, indexing="ij")
+    if vox.dtype != np.uint8:
+        vox = vox.astype(np.float32, copy=False)
+    out = np.empty((m0, m1, n_slices), vox.dtype)
+    plane = np.empty((m0, m1), np.float32)
+    for k in range(n_slices):
+        ndimage.map_coordinates(vox[:, :, k], grid, output=plane, order=1, mode="nearest")
+        if out.dtype == np.uint8:
+            np.clip(np.round(plane, out=plane), 0, 255, out=plane)
+        out[:, :, k] = plane
+    return Volume(out, (s, s, spacing[2]))
 
 
 def extract_slices(volume: Volume, view, count=None) -> SliceStack:
@@ -279,6 +291,7 @@ def rotate_slices(slices, angle_deg):
     """Bilinear in-slice rotation about the slice center (reflect padding)."""
     if angle_deg == 0.0:
         return slices
+    from scipy import ndimage
     return ndimage.rotate(slices.astype(np.float32), angle_deg, axes=(1, 2),
                           reshape=False, order=1, mode="reflect")
 

@@ -217,6 +217,13 @@ class TestInputForms:
             x = x.astype(np.float32)
             assert np.array_equal(graph.predict_proba(x), graph.predict_proba({view: x}))
 
+    @pytest.mark.parametrize("name", ["toy-2d-trf", "toy-conv3d"])
+    def test_dict_without_the_view_is_a_shape_error(self, name):
+        graph = build_model(preset_config(name), seed=6)
+        (shape,) = graph.input_spec.values()
+        with pytest.raises(ShapeError, match=r"^missing input view\(s\): sag$"):
+            graph.predict_proba({"cor": np.zeros(shape, np.float32)})
+
 
 def count_stage_calls(graph, monkeypatch):
     """Count calls of the slice encoder's bottleneck stages."""

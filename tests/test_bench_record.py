@@ -24,9 +24,15 @@ def fake_doc():
                        fake_run(main_s=1.4, setup_s=5.1)],
             "change": [fake_run(main_s=0.8, setup_s=5.3), fake_run(main_s=0.9, setup_s=5.2),
                        fake_run(main_s=1.6, setup_s=5.0)]}
+    startup = {"runs": 3, "commands": {name: "python ..." for name in record.STARTUP},
+               "parent": {"import_s": record.side_stats([0.58, 0.61, 0.57]),
+                          "profile_s": record.side_stats([1.4, 1.3, 1.5])},
+               "change": {"import_s": record.side_stats([0.23, 0.25, 0.22]),
+                          "profile_s": record.side_stats([1.0, 1.1, 1.05])}}
     return {"schema": record.SCHEMA, "tag": "t", "command": "python3 perfbench/run.py ...",
             "revisions": {"parent": "a" * 40, "change": "b" * 40},
             "machine": record.machine(), "sgemm_gmac_per_s": {"start": 50.0, "end": 49.0},
+            "startup": startup,
             "workloads": {"prep-views": {"seeds": [1, 2, 3], "parent_first": [True, False, True],
                                          "runs": runs, "metrics": record.summarize(runs, SPEC)}}}
 
@@ -47,6 +53,12 @@ def test_schema_accepts_a_written_record():
     doc = json.loads(json.dumps(fake_doc()))
     assert record.check_schema(doc) is doc
     assert set(doc["machine"]) >= {"cpu", "cpus", "os", "python", "numpy", "blas_threads"}
+    assert doc["startup"]["parent"]["import_s"] == {
+        "median": 0.58, "q1": 0.575, "q3": 0.595, "values": [0.58, 0.61, 0.57]}
+    old = fake_doc()
+    old.update(schema=1)
+    del old["startup"]
+    assert record.check_schema(old) is old  # records before the start-up block
 
 
 @pytest.mark.parametrize("breakage", [
@@ -56,6 +68,10 @@ def test_schema_accepts_a_written_record():
     lambda d: d["workloads"]["prep-views"]["runs"]["change"].pop(),
     lambda d: d["workloads"]["prep-views"]["metrics"]["main_s"].update(change_won=4),
     lambda d: d["workloads"]["prep-views"]["metrics"]["main_s"]["parent"].update(q1=9.0),
+    lambda d: d.pop("startup"),
+    lambda d: d["startup"]["change"].pop("profile_s"),
+    lambda d: d["startup"]["parent"]["import_s"]["values"].pop(),
+    lambda d: d["startup"]["parent"]["profile_s"].update(q3=1.0),
 ])
 def test_schema_rejects_a_broken_record(breakage):
     doc = fake_doc()

@@ -258,15 +258,36 @@ def test_volume_contents_hashed_past_256_files(tmp_path):
     assert [k for k in before if before[k] != after[k]] == [str(victim)]
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats would add about half a second to every command's start-up
+def scipy_modules_after(code):
+    """The scipy modules a fresh interpreter has loaded after running ``code``."""
     src = str(Path(volformer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, volformer.cli; print('scipy.stats' in sys.modules)"
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy is imported inside the functions that call it: loading any of it
+    # at import would add 0.1-0.4 s to every command's start-up
+    assert scipy_modules_after("import volformer.cli") == []
+
+
+def test_sag_preprocess_and_profile_leave_out_scipy(cohort_dir, tmp_path):
+    code = f"""
+from volformer import cli
+assert cli.main(["preprocess", "--volumes", {str(cohort_dir / "volumes")!r},
+                 "--out", {str(tmp_path / "sag")!r}, "--crop", "32x32x16",
+                 "--view", "sag"]) == 0
+assert cli.main(["profile", "--preset", "toy-2d-trf",
+                 "--out", {str(tmp_path / "profile" / "report.json")!r}]) == 0
+"""
+    assert scipy_modules_after(code) == []
+    assert len(list((tmp_path / "sag").glob("*.vvol"))) == 80
+    assert (tmp_path / "profile" / "report.json").is_file()
 
 
 @pytest.fixture(scope="module")

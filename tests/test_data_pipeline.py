@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from volformer import manifest
 from volformer import volume as volume_module
+from volformer.cli import main
 from volformer.cohort import CLASS_FAST, CLASS_NONE, CLASS_SLOW, derive_label
 from volformer.errors import ConfigError, DataError
 from volformer.synth import DEFAULT_CLASS_PROBS, SynthSpec, synth_generate
@@ -250,8 +252,57 @@ class TestAtomicWrites:
         assert json.loads(old)["config"] == {"view": "sag"}
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    @pytest.mark.parametrize("argv,name", [
+        (["label"], "labels.csv"),
+        (["split", "--holdout", "inst_a"], "splits.json"),
+        (["profile", "--preset", "toy-2d-trf"], "report.json"),
+    ], ids=["label", "split", "profile"])
+    def test_cli_output_failure_keeps_old_file(self, tmp_path, fail_writes, argv, name):
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["synth", "--subjects", "8", "--dims", "16x16x8", "--out", str(data)]) == 0
+        flags = (["--out", str(out / name)] if argv[0] == "profile"
+                 else ["--cohort", str(data / "cohort.csv"), "--out", str(out)])
+        assert main(argv + flags) == 0
+        old = (out / name).read_bytes()
+        before = sorted(p.name for p in out.iterdir())
+        opened = fail_writes()
+        with pytest.raises(OSError, match="No space"):
+            main(argv + flags)
+        assert [p.name for p in opened] == [f".{name}.{os.getpid()}.tmp"]
+        assert (out / name).read_bytes() == old
+        assert sorted(p.name for p in out.iterdir()) == before
+
+
+def reproject_3d_oracle(volume, view):
+    """``reproject`` as one trilinear ``map_coordinates`` call on a 3-D
+    float64 coordinate grid over a float32 copy of the volume."""
+    from scipy import ndimage
+    perm = volume_module.VIEW_PERMUTATIONS[view]
+    vox = np.transpose(volume.voxels, perm)
+    spacing = tuple(volume.spacing[p] for p in perm)
+    n = vox.shape[2]
+    m0, m1, s = volume_module._isotropic_grid(vox.shape[:2], spacing[:2], vox.size / n)
+    src0 = ((np.arange(m0) + 0.5) * s) / spacing[0] - 0.5
+    src1 = ((np.arange(m1) + 0.5) * s) / spacing[1] - 0.5
+    grid = np.meshgrid(src0, src1, np.arange(n, dtype=np.float64), indexing="ij")
+    out = ndimage.map_coordinates(vox.astype(np.float32), grid, order=1, mode="nearest")
+    if volume.voxels.dtype == np.uint8:
+        out = np.clip(np.round(out), 0, 255).astype(np.uint8)
+    return out, (s, s, spacing[2])
+
 
 class TestReproject:
+    @pytest.mark.parametrize("view", ["cor", "ax"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_per_slice_equals_the_3d_interpolation(self, view, dtype):
+        rng = np.random.default_rng(19)
+        vol = Volume((rng.random((40, 36, 20)) * 255).astype(dtype), (0.73, 0.61, 1.4))
+        out = reproject(vol, view)
+        expected, spacing = reproject_3d_oracle(vol, view)
+        assert out.voxels.dtype == expected.dtype and out.dims == expected.shape
+        assert out.voxels.tobytes() == expected.tobytes()
+        assert out.spacing == spacing
+
     def test_sag_identity_when_in_slice_isotropic(self):
         vol = random_volume(np.random.default_rng(8), dims=(12, 12, 6),
                             spacing=(0.74, 0.74, 1.4))
