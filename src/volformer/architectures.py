@@ -9,6 +9,7 @@ remaining runnable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -119,10 +120,45 @@ class ModelConfig:
         return self
 
     def input_spec(self):
-        if self.family in VOLUMETRIC_FAMILIES:
-            v = self.views[0]
-            return {v: (self.slice_count[v],) + tuple(self.slice_shape[v])}
         return {v: (self.slice_count[v],) + tuple(self.slice_shape[v]) for v in self.views}
+
+
+def model_inputs(inputs, views):
+    """The model entry's input handling: ``{view: (B, ...)}`` tensors from a
+    view dict or, for a one-view model, a bare array, either batched or one
+    unbatched sample; also whether the input was unbatched."""
+    if not isinstance(inputs, dict):
+        inputs = {views[0]: inputs}
+    missing = [v for v in views if v not in inputs]
+    if missing:
+        raise ShapeError(f"missing input view(s): {', '.join(missing)}")
+    unbatched = np.ndim(inputs[views[0]]) == 3
+    batch = {}
+    for v in views:
+        x = inputs[v][None] if unbatched else inputs[v]
+        batch[v] = x if isinstance(x, ag.Tensor) else ag.tensor(x)
+    return batch, unbatched
+
+
+def replicate_channels(x, channels):
+    """A grayscale ``(N, 1, ...)`` input copied across ``channels`` channels."""
+    return ag.concat([x] * channels, axis=1) if channels > 1 else x
+
+
+def build_stages(spec: EncoderSpec, block, init):
+    """The residual stages after the stem, and their output width.
+
+    ``block(in_channels, width, init, stride=...)`` makes one block; the first
+    block of every stage but the first has stride 2."""
+    channels = spec.stem_width
+    stages = []
+    for i, (width, n_blocks) in enumerate(zip(spec.stage_widths, spec.blocks_per_stage)):
+        blocks = []
+        for j in range(n_blocks):
+            blocks.append(block(channels, width, init, stride=2 if (i > 0 and j == 0) else 1))
+            channels = blocks[-1].out_channels
+        stages.append(Sequential(*blocks))
+    return Sequential(*stages), channels
 
 
 # Eval-mode encoding runs everything after the stem convolution over chunks
@@ -144,17 +180,7 @@ class SliceEncoder(Module):
         self.stem = Conv(spec.in_channels, spec.stem_width, k, init,
                          stride=s, padding=k // 2)
         self.stem_bn = BatchNorm(spec.stem_width, init)
-        channels = spec.stem_width
-        stages = []
-        for i, (width, n_blocks) in enumerate(zip(spec.stage_widths, spec.blocks_per_stage)):
-            blocks = []
-            for j in range(n_blocks):
-                stride = 2 if (i > 0 and j == 0) else 1
-                blocks.append(BottleneckBlock(channels, width, init, stride=stride))
-                channels = width * BottleneckBlock.expansion
-            stages.append(Sequential(*blocks))
-        self.stages = Sequential(*stages)
-        self.out_dim = channels
+        self.stages, self.out_dim = build_stages(spec, BottleneckBlock, init)
 
     def forward(self, x, ctx=EVAL_CTX):
         x = self.stem(x, ctx)
@@ -180,19 +206,12 @@ def resnet50(init=None, num_classes=1000, in_channels=3):
     """Canonical 50-layer bottleneck classifier (stem 64; stages 3/4/6/3)."""
     init = init or ParamInit(seed=0)
     spec = EncoderSpec(in_channels=in_channels)
-    encoder = SliceEncoder(spec, init)
-    head = Linear(spec.feature_dim, num_classes, init)
+    return Sequential(SliceEncoder(spec, init), Linear(spec.feature_dim, num_classes, init))
 
-    class _Classifier(Module):
-        def __init__(self):
-            super().__init__()
-            self.encoder = encoder
-            self.head = head
 
-        def forward(self, x, ctx=EVAL_CTX):
-            return self.head(self.encoder(x, ctx), ctx)
-
-    return _Classifier()
+# Every aggregator is built as ``Aggregator(feature_dim, cfg, init)`` and
+# called on ``{view: (B, k, f)}`` slice features; ``sized_by`` names the
+# AggregatorSpec fields that size it, which the profile report echoes.
 
 
 class TransformerAggregator(Module):
@@ -202,25 +221,25 @@ class TransformerAggregator(Module):
     class token, positional table and view embeddings."""
 
     kind = "embedding"
+    sized_by = ("model_dim", "mlp_ratio")
 
-    def __init__(self, feature_dim, spec: AggregatorSpec, views, slice_counts,
-                 num_classes, init):
+    def __init__(self, feature_dim, cfg: ModelConfig, init):
         super().__init__()
-        self.views = tuple(views)
+        self.views = tuple(cfg.views)
+        spec = cfg.aggregator
         d = spec.model_dim
         self.proj = Linear(feature_dim, d, init)
         self.cls_token = init.param((1, 1, d), "normal002")
-        self.pos = init.param((sum(slice_counts[v] for v in self.views) + 1, d), "normal002")
+        self.pos = init.param((sum(cfg.slice_count[v] for v in self.views) + 1, d), "normal002")
         if len(self.views) > 1:
             for v in self.views:
                 setattr(self, f"view_emb_{v}", init.param((d,), "normal002"))
-        cfg = AttentionConfig(d, spec.heads, spec.mlp_ratio, spec.dropout)
-        self.blocks = Sequential(*[TransformerBlock(cfg, init) for _ in range(spec.blocks)])
+        attention = AttentionConfig(d, spec.heads, spec.mlp_ratio, spec.dropout)
+        self.blocks = Sequential(*[TransformerBlock(attention, init) for _ in range(spec.blocks)])
         self.final_norm = LayerNormModule(d, init)
-        self.head = Linear(d, num_classes, init)
+        self.head = Linear(d, cfg.num_classes, init)
 
     def forward(self, feats, ctx=EVAL_CTX):
-        """feats: dict view -> (B, k_v, f) in self.views order."""
         parts = []
         for v in self.views:
             t = self.proj(feats[v], ctx)
@@ -240,31 +259,50 @@ class TransformerAggregator(Module):
 class FcAggregator(Module):
     """Flatten slice features slice-major, two FC layers with ReLU between."""
 
-    def __init__(self, feature_dim, slice_count, hidden, num_classes, init):
+    sized_by = ("fc_hidden",)
+
+    def __init__(self, feature_dim, cfg: ModelConfig, init):
         super().__init__()
-        self.fc1 = Linear(slice_count * feature_dim, hidden, init)
-        self.fc2 = Linear(hidden, num_classes, init)
+        self.view = cfg.views[0]
+        hidden = cfg.aggregator.fc_hidden
+        self.fc1 = Linear(cfg.slice_count[self.view] * feature_dim, hidden, init)
+        self.fc2 = Linear(hidden, cfg.num_classes, init)
 
     def forward(self, feats, ctx=EVAL_CTX):
-        b, k, f = feats.shape
-        flat = ag.reshape(feats, (b, k * f))  # row-major: slice index varies slowest
+        x = feats[self.view]
+        b, k, f = x.shape
+        flat = ag.reshape(x, (b, k * f))  # row-major: slice index varies slowest
         return self.fc2(ag.relu(self.fc1(flat, ctx)), ctx)
 
 
 class BiLstmAggregator(Module):
     """Bidirectional LSTM over the slice sequence; classify the terminal states."""
 
-    def __init__(self, feature_dim, slice_count, hidden, num_classes, init):
+    sized_by = ("lstm_hidden",)
+
+    def __init__(self, feature_dim, cfg: ModelConfig, init):
         super().__init__()
-        self.slice_count = slice_count
+        self.view = cfg.views[0]
+        self.slice_count = cfg.slice_count[self.view]
+        hidden = cfg.aggregator.lstm_hidden
         self.lstm = BiLSTM(feature_dim, hidden, init)
-        self.head = Linear(2 * hidden, num_classes, init)
+        self.head = Linear(2 * hidden, cfg.num_classes, init)
 
     def forward(self, feats, ctx=EVAL_CTX):
-        if feats.shape[1] != self.slice_count:
+        seq = feats[self.view]
+        if seq.shape[1] != self.slice_count:
             raise ShapeError(f"aggregator built for {self.slice_count} slices, "
-                             f"got {feats.shape[1]}")
-        return self.head(self.lstm(feats, ctx), ctx)
+                             f"got {seq.shape[1]}")
+        return self.head(self.lstm(seq, ctx), ctx)
+
+
+AGGREGATORS = {
+    "2d_trf": TransformerAggregator,
+    "2d_fc": FcAggregator,
+    "2d_bilstm": BiLstmAggregator,
+    "2d_trf_multiview_shared": TransformerAggregator,
+    "2d_trf_multiview_individual": TransformerAggregator,
+}
 
 
 class SlicewiseModel(Module):
@@ -276,23 +314,10 @@ class SlicewiseModel(Module):
         if cfg.family == "2d_trf_multiview_individual":
             for v in cfg.views:
                 setattr(self, f"encoder_{v}", SliceEncoder(cfg.encoder, init))
-            f = getattr(self, f"encoder_{cfg.views[0]}").out_dim
         else:
             self.encoder = SliceEncoder(cfg.encoder, init)
-            f = self.encoder.out_dim
-        agg = cfg.aggregator
-        if cfg.family in ("2d_trf",) + MULTIVIEW_FAMILIES:
-            self.aggregator = TransformerAggregator(
-                f, agg, cfg.views, cfg.slice_count, cfg.num_classes, init)
-        elif cfg.family == "2d_fc":
-            self.aggregator = FcAggregator(
-                f, cfg.slice_count[cfg.views[0]], agg.fc_hidden, cfg.num_classes, init)
-        elif cfg.family == "2d_bilstm":
-            self.aggregator = BiLstmAggregator(
-                f, cfg.slice_count[cfg.views[0]], agg.lstm_hidden, cfg.num_classes, init)
-        else:
-            raise ConfigError(f"family {cfg.family} is not slice-wise")
-        self.feature_dim = f
+        self.feature_dim = cfg.encoder.feature_dim
+        self.aggregator = AGGREGATORS[cfg.family](self.feature_dim, cfg, init)
 
     def encoder_for(self, view):
         if self.cfg.family == "2d_trf_multiview_individual":
@@ -306,29 +331,16 @@ class SlicewiseModel(Module):
         b, k, h, w = slices.shape
         if k != self.cfg.slice_count[view]:
             raise ShapeError(f"view {view!r} expects {self.cfg.slice_count[view]} slices, got {k}")
-        x = ag.reshape(slices, (b * k, 1, h, w))
-        c = self.cfg.encoder.in_channels
-        if c > 1:
-            x = ag.concat([x] * c, axis=1)  # grayscale replicated across channels
+        x = replicate_channels(ag.reshape(slices, (b * k, 1, h, w)), self.cfg.encoder.in_channels)
         with cost_scope(f"encoder@{view}"):
             feats = self.encoder_for(view)(x, ctx)
         return ag.reshape(feats, (b, k, self.feature_dim))
 
     def forward(self, inputs, ctx=EVAL_CTX):
-        """inputs: dict view -> (B, k, H, W) slices or one unbatched
-        (k, H, W) sample; a single-view model also takes the bare array."""
-        if not isinstance(inputs, dict):
-            inputs = {self.cfg.views[0]: inputs}
-        missing = [v for v in self.cfg.views if v not in inputs]
-        if missing:
-            raise ShapeError(f"missing input view(s): {', '.join(missing)}")
-        unbatched = np.ndim(inputs[self.cfg.views[0]]) == 3
-        feats = {v: self.encode_slices(inputs[v][None] if unbatched else inputs[v], v, ctx)
-                 for v in self.cfg.views}
-        if isinstance(self.aggregator, TransformerAggregator):
-            logits = self.aggregator(feats, ctx)
-        else:
-            logits = self.aggregator(feats[self.cfg.views[0]], ctx)
+        """See :func:`model_inputs`; slices are (k, H, W) per sample."""
+        batch, unbatched = model_inputs(inputs, self.cfg.views)
+        feats = {v: self.encode_slices(batch[v], v, ctx) for v in self.cfg.views}
+        logits = self.aggregator(feats, ctx)
         return ag.reshape(logits, (self.cfg.num_classes,)) if unbatched else logits
 
 
@@ -344,36 +356,16 @@ class VolumetricModel(Module):
         self.stem = Conv(spec.in_channels, spec.stem_width, k, init,
                          stride=s, padding=k // 2, dims=3)
         self.stem_bn = BatchNorm(spec.stem_width, init, dims=3)
-        channels = spec.stem_width
-        stages = []
-        for i, (width, n_blocks) in enumerate(zip(spec.stage_widths, spec.blocks_per_stage)):
-            blocks = []
-            for j in range(n_blocks):
-                stride = 2 if (i > 0 and j == 0) else 1
-                if cfg.family == "conv3d":
-                    blocks.append(BottleneckBlock(channels, width, init, stride=stride, dims=3))
-                    channels = width * BottleneckBlock.expansion
-                else:
-                    blocks.append(_Factorized(channels, width, init, stride))
-                    channels = width
-            stages.append(Sequential(*blocks))
-        self.stages = Sequential(*stages)
-        self.out_dim = channels
-        self.head = Linear(channels, cfg.num_classes, init)
+        block = (functools.partial(BottleneckBlock, dims=3) if cfg.family == "conv3d"
+                 else _Factorized)
+        self.stages, self.out_dim = build_stages(spec, block, init)
+        self.head = Linear(self.out_dim, cfg.num_classes, init)
 
-    def forward(self, volume, ctx=EVAL_CTX):
-        """(B, D, H, W) volumes or one unbatched (D, H, W) volume, bare or
-        in a one-view dict -> logits."""
-        if isinstance(volume, dict):
-            view = self.cfg.views[0]
-            if view not in volume:
-                raise ShapeError(f"missing input view(s): {view}")
-            volume = volume[view]
-        x = volume if isinstance(volume, ag.Tensor) else ag.tensor(volume)
-        unbatched = x.ndim == 3
-        x = ag.reshape(x, (-1, 1) + x.shape[-3:])
-        if self.cfg.encoder.in_channels > 1:
-            x = ag.concat([x] * self.cfg.encoder.in_channels, axis=1)
+    def forward(self, inputs, ctx=EVAL_CTX):
+        """See :func:`model_inputs`; a sample is one (D, H, W) volume."""
+        batch, unbatched = model_inputs(inputs, self.cfg.views)
+        x = batch[self.cfg.views[0]]
+        x = replicate_channels(ag.reshape(x, (-1, 1) + x.shape[-3:]), self.cfg.encoder.in_channels)
         x = ag.relu(self.stem_bn(self.stem(x, ctx), ctx))
         x = self.stages(x, ctx)
         logits = self.head(ag.global_avg_pool(x), ctx)
@@ -385,6 +377,7 @@ class _Factorized(Module):
 
     def __init__(self, in_channels, out_channels, init, stride=1):
         super().__init__()
+        self.out_channels = out_channels
         self.block = Conv2Plus1dBlock(in_channels, out_channels, init, stride=stride)
         self.bn = BatchNorm(out_channels, init, dims=3)
 
@@ -430,10 +423,7 @@ def build_model(cfg: ModelConfig, seed=0, dtype=np.float32) -> ModelGraph:
     """
     cfg.validate()
     init = ParamInit(seed=seed, dtype=dtype)
-    if cfg.family in VOLUMETRIC_FAMILIES:
-        module = VolumetricModel(cfg, init)
-    else:
-        module = SlicewiseModel(cfg, init)
+    module = (SlicewiseModel if cfg.family in AGGREGATORS else VolumetricModel)(cfg, init)
     out, _ = shape_pass(module, cfg.input_spec())
     if out.shape != (cfg.num_classes,):
         raise ShapeError(f"model outputs {out.shape}, expected ({cfg.num_classes},)")

@@ -71,9 +71,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self):
-        return self.data
-
     def item(self):
         return float(self.data.reshape(-1)[0])
 

@@ -12,6 +12,7 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
+from .manifest import atomic_writer
 
 MAGIC = b"VFWT"
 VERSION = 1
@@ -19,7 +20,7 @@ VERSION = 1
 
 def save_checkpoint(path, tensors):
     """Write an ordered mapping of name -> numpy array."""
-    with open(path, "wb") as fh:
+    with atomic_writer(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HI", VERSION, len(tensors)))
         for name, arr in tensors.items():

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
+from .manifest import atomic_writer
 
 CLASS_NONE, CLASS_SLOW, CLASS_FAST = 0, 1, 2
 CLASS_NAMES = {CLASS_NONE: "none", CLASS_SLOW: "slow", CLASS_FAST: "fast"}
@@ -307,7 +308,7 @@ def read_cohort_csv(path):
 
 
 def write_cohort_csv(records, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_writer(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))
         for r in records:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
+from .manifest import atomic_writer
 
 
 def pool_progression(probs):
@@ -205,34 +207,24 @@ def evaluate_predictions(pred: PredictionSet, n_boot=1000, seed=0) -> EvalReport
 
 def export_curves(pred: PredictionSet, out_dir):
     """Write roc.csv, pr.csv and confusion.csv; returns the paths."""
-    from pathlib import Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scores, binary = pred.pooled, pred.binary_labels
-    paths = {}
-
-    roc_path = out / "roc.csv"
-    with open(roc_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for row in roc_curve_points(scores, binary):
-            writer.writerow([repr(v) for v in row])
-    paths["roc"] = roc_path
-
-    pr_path = out / "pr.csv"
-    with open(pr_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "recall", "precision"])
-        for row in pr_curve_points(scores, binary):
-            writer.writerow([repr(v) for v in row])
-    paths["pr"] = pr_path
-
-    conf_path = out / "confusion.csv"
     _, matrix = balanced_accuracy_and_confusion(pred.probs.argmax(axis=1), pred.labels)
-    with open(conf_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true\\pred", "none", "slow", "fast"])
-        for c, row in enumerate(matrix):
-            writer.writerow([["none", "slow", "fast"][c]] + [int(v) for v in row])
-    paths["confusion"] = conf_path
+    classes = ["none", "slow", "fast"]
+    tables = {
+        "roc": (["threshold", "fpr", "tpr"],
+                [[repr(v) for v in row] for row in roc_curve_points(scores, binary)]),
+        "pr": (["threshold", "recall", "precision"],
+               [[repr(v) for v in row] for row in pr_curve_points(scores, binary)]),
+        "confusion": (["true\\pred"] + classes,
+                      [[classes[c]] + [int(v) for v in row] for c, row in enumerate(matrix)]),
+    }
+    paths = {}
+    for name, (header, rows) in tables.items():
+        paths[name] = out / f"{name}.csv"
+        with atomic_writer(paths[name], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     return paths

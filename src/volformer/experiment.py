@@ -21,7 +21,7 @@ def preprocess_views(volume: Volume, views, crop_dims, factors):
     out = {}
     for view in views:
         oriented = base if view == "sag" else reproject(base, view)
-        out[view] = extract_slices(oriented, view).slices
+        out[view] = extract_slices(oriented)
     return out
 
 

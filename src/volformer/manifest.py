@@ -50,7 +50,7 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_manifest(out_dir, command, config, inputs, outputs, seeds, extra=None):
+def write_manifest(out_dir, command, config, inputs, outputs, seeds):
     """Write manifest_<command>.json into out_dir and return its path.
 
     ``inputs`` may contain paths (hashed) or (name, path) pairs.

@@ -117,7 +117,7 @@ class BottleneckBlock(Module):
             raise ConfigError(f"bottleneck stride must be 1 or 2, got {stride}")
         if width < 1 or in_channels < 1:
             raise ConfigError(f"bottleneck widths must be positive, got {in_channels}/{width}")
-        out_channels = width * self.expansion
+        self.out_channels = out_channels = width * self.expansion
         self.conv1 = Conv(in_channels, width, 1, init, dims=dims)
         self.bn1 = BatchNorm(width, init, dims=dims)
         self.conv2 = Conv(width, width, 3, init, stride=stride, padding=1, dims=dims)

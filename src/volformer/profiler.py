@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .architectures import ModelGraph
+from .architectures import AGGREGATORS, ModelGraph
 from .errors import ConfigError
 from .nn import shape_pass
 
@@ -45,20 +45,12 @@ class CostReport:
 
 
 def _reconciliation_notes(graph: ModelGraph):
-    agg = graph.config.aggregator
-    notes = {
+    sized_by = getattr(AGGREGATORS.get(graph.config.family), "sized_by", ())
+    return {
         "macs_convention": "norm/activation/pool layers counted as 0 MACs",
         "attention_rows": "projection and score/value MACs emitted separately",
+        **{name: getattr(graph.config.aggregator, name) for name in sized_by},
     }
-    if graph.config.family in ("2d_trf", "2d_trf_multiview_shared",
-                               "2d_trf_multiview_individual"):
-        notes["model_dim"] = agg.model_dim
-        notes["mlp_ratio"] = agg.mlp_ratio
-    elif graph.config.family == "2d_fc":
-        notes["fc_hidden"] = agg.fc_hidden
-    elif graph.config.family == "2d_bilstm":
-        notes["lstm_hidden"] = agg.lstm_hidden
-    return notes
 
 
 def count_macs(graph: ModelGraph, input_spec=None) -> CostReport:

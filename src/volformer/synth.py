@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import CLASS_FAST, CLASS_NONE, CLASS_SLOW, KneeRecord, derive_label
+from .cohort import CLASS_FAST, CLASS_NONE, CLASS_SLOW, VISIT_MONTHS, KneeRecord, derive_label
 from .errors import ConfigError, DataError
 from .volume import Volume
 
@@ -22,7 +22,6 @@ from .volume import Volume
 # 374 slow progressors out of 4866 knees
 DEFAULT_CLASS_PROBS = {CLASS_NONE: 3551 / 4866, CLASS_SLOW: 374 / 4866, CLASS_FAST: 941 / 4866}
 
-VISIT_MONTHS = (0, 12, 24, 36, 48, 72, 96)
 INSTITUTIONS = ("inst_a", "inst_b", "inst_c", "inst_d")
 INSTITUTION_WEIGHTS = (0.35, 0.30, 0.20, 0.15)
 

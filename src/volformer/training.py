@@ -14,8 +14,9 @@ from .architectures import ModelConfig, ModelGraph, build_model
 from .cohort import resample_balance
 from .errors import ConfigError, DivergenceError
 from .evaluation import average_precision, pool_progression, roc_auc
+from .manifest import atomic_writer
 from .nn import Ctx
-from .volume import AugmentPolicy, SliceStack, augment
+from .volume import AugmentPolicy, augment
 
 
 @dataclass
@@ -42,6 +43,7 @@ class TrainConfig:
             raise ConfigError("weight_decay and focal_gamma must be non-negative")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        self.augment_policy.validate()
         return self
 
 
@@ -178,7 +180,7 @@ def _augment_batch(samples, views, rng, policy):
             continue
         stacked = np.empty_like(arr)
         for i in range(arr.shape[0]):
-            stacked[i] = augment(SliceStack(v, arr[i]), rng, policy).slices
+            stacked[i] = augment(arr[i], rng, policy)
         out[v] = stacked.astype(np.float32) / 255.0
     return out
 
@@ -257,7 +259,7 @@ def train_fold(model_cfg: ModelConfig, data: FoldData, fold_index, train_cfg: Tr
 
 
 def history_to_csv(history, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,lr,train_loss,val_ap,val_auc\n")
         for h in history:
             fh.write(f"{h.epoch},{h.lr!r},{h.train_loss!r},{h.val_ap!r},{h.val_auc!r}\n")

@@ -24,8 +24,6 @@ VOLUME_VERSION = 1
 _DTYPE_CODES = {"u8": 0, "f32": 1}
 _CODE_DTYPES = {0: np.dtype(np.uint8), 1: np.dtype("<f4")}
 
-# which axis of a sagittal-native volume carries the slices of each view
-VIEW_AXES = {"sag": 2, "cor": 0, "ax": 1}
 # axis permutation that reorients a sagittal-native volume so that the
 # requested view's slices lie along axis 2
 VIEW_PERMUTATIONS = {"sag": (0, 1, 2), "cor": (1, 2, 0), "ax": (0, 2, 1)}
@@ -55,22 +53,6 @@ class Volume:
         if self.voxels.dtype in (np.float32, np.dtype("<f4")):
             return "f32"
         raise ConfigError(f"unsupported volume dtype {self.voxels.dtype}")
-
-
-@dataclass
-class SliceStack:
-    view: str
-    slices: np.ndarray  # (k, H, W)
-
-    def __post_init__(self):
-        if self.view not in VIEW_AXES:
-            raise ConfigError(f"unknown view {self.view!r}")
-        if self.slices.ndim != 3 or self.slices.shape[0] < 1:
-            raise ConfigError(f"slice stack must be (k>=1, H, W), got {self.slices.shape}")
-
-    @property
-    def k(self):
-        return self.slices.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +224,10 @@ def reproject(volume: Volume, view) -> Volume:
     return Volume(out, (s, s, spacing[2]))
 
 
-def extract_slices(volume: Volume, view, count=None) -> SliceStack:
-    """All (or ``count`` evenly sampled) slices along the slice axis.
-
-    The volume must already be oriented for the view (see ``reproject``).
-    """
-    vox = volume.voxels
-    k = vox.shape[2]
-    if count is not None:
-        if not 1 <= count <= k:
-            raise ConfigError(f"cannot sample {count} of {k} slices")
-        idx = np.linspace(0, k - 1, count).round().astype(int)
-        vox = vox[:, :, idx]
-    slices = np.ascontiguousarray(np.moveaxis(vox, 2, 0))
-    return SliceStack(view=view, slices=slices)
+def extract_slices(volume: Volume):
+    """The (k, H, W) slices of a volume already oriented for its view (see
+    ``reproject``): one contiguous slice per index of axis 2."""
+    return np.ascontiguousarray(np.moveaxis(volume.voxels, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +278,17 @@ def _translate_reflect(slices, dy, dx):
     return padded[:, y0:y0 + h, x0:x0 + w]
 
 
-def augment(stack: SliceStack, rng, policy: AugmentPolicy = None) -> SliceStack:
+def augment(slices, rng, policy: AugmentPolicy = None):
     """Random translation (reflect-padded), in-slice rotation (bilinear about
-    the slice center) and gamma correction on normalized intensities.
+    the slice center) and gamma correction on normalized intensities of a
+    (k, H, W) uint8 slice stack; returns a new array.
 
     One draw per stack: all slices of a scan transform together. Pure
-    function of (stack, rng state, policy)."""
+    function of (slices, rng state, policy)."""
     policy = (policy or AugmentPolicy()).validate()
     if policy.is_identity:
-        return SliceStack(stack.view, stack.slices.copy())
-    h, w = stack.slices.shape[1:]
+        return slices.copy()
+    h, w = slices.shape[1:]
     max_dy = int(policy.max_shift_frac * h)
     max_dx = int(policy.max_shift_frac * w)
     dy = int(rng.integers(-max_dy, max_dy + 1)) if max_dy else 0
@@ -324,10 +297,10 @@ def augment(stack: SliceStack, rng, policy: AugmentPolicy = None) -> SliceStack:
     lo, hi = policy.gamma_range
     gamma = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
-    out = _translate_reflect(stack.slices, dy, dx)
+    out = _translate_reflect(slices, dy, dx)
     if angle != 0.0:
         out = rotate_slices(out, angle)
-    if gamma != 1.0 or out.dtype != stack.slices.dtype:
+    if gamma != 1.0 or out.dtype != slices.dtype:
         norm = np.clip(out.astype(np.float64) / 255.0, 0.0, 1.0) ** gamma
         out = np.round(norm * 255.0).astype(np.uint8)
-    return SliceStack(stack.view, out)
+    return out

@@ -10,6 +10,9 @@ from gradcheck import randomize_norms
 from volformer import architectures
 from volformer import autograd as ag
 from volformer.architectures import (
+    AGGREGATORS,
+    FAMILIES,
+    VOLUMETRIC_FAMILIES,
     BiLstmAggregator,
     FcAggregator,
     ModelConfig,
@@ -369,7 +372,7 @@ class TestAggregators:
         feats = ag.tensor(np.zeros((1, 4, 32), np.float32))
         for fam in ("2d_trf", "2d_fc", "2d_bilstm"):
             agg = build_model(toy_config(fam, slice_count=4), seed=8).module.aggregator
-            out = agg({"sag": feats}) if fam == "2d_trf" else agg(feats)
+            out = agg({"sag": feats})
             assert out.shape == (1, 3)
 
     def test_fc_flatten_is_slice_major(self):
@@ -385,7 +388,22 @@ class TestAggregators:
     def test_bilstm_rejects_wrong_slice_count(self):
         graph = build_model(toy_config("2d_bilstm", slice_count=4), seed=10)
         with pytest.raises(ShapeError, match="built for 4 slices"):
-            graph.module.aggregator(ag.tensor(np.zeros((1, 6, 32), np.float32)))
+            graph.module.aggregator({"sag": ag.tensor(np.zeros((1, 6, 32), np.float32))})
+
+    def test_every_family_is_slicewise_or_volumetric(self):
+        assert set(AGGREGATORS) | set(VOLUMETRIC_FAMILIES) == set(FAMILIES)
+        assert not set(AGGREGATORS) & set(VOLUMETRIC_FAMILIES)
+
+    @pytest.mark.parametrize("name", [n for n in TOY_PRESETS
+                                      if preset_config(n).family in AGGREGATORS])
+    def test_preset_aggregator_from_the_table_takes_view_dict(self, name):
+        cfg = preset_config(name)
+        agg = build_model(cfg, seed=12).module.aggregator
+        assert type(agg) is AGGREGATORS[cfg.family]
+        rng = np.random.default_rng(13)
+        feats = {v: ag.tensor(rng.random((2, cfg.slice_count[v], cfg.encoder.feature_dim),
+                                         np.float32)) for v in cfg.views}
+        assert agg(feats).shape == (2, cfg.num_classes)
 
     def test_aggregate_requires_matching_kind(self):
         kinds = {"2d_trf": TransformerAggregator, "2d_fc": FcAggregator,

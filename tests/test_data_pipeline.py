@@ -7,14 +7,16 @@ import pytest
 
 from volformer import manifest
 from volformer import volume as volume_module
+from volformer.checkpoint import save_checkpoint
 from volformer.cli import main
-from volformer.cohort import CLASS_FAST, CLASS_NONE, CLASS_SLOW, derive_label
+from volformer.cohort import CLASS_FAST, CLASS_NONE, CLASS_SLOW, derive_label, write_cohort_csv
 from volformer.errors import ConfigError, DataError
+from volformer.evaluation import PredictionSet, export_curves
 from volformer.synth import DEFAULT_CLASS_PROBS, SynthSpec, synth_generate
+from volformer.training import EpochStats, history_to_csv
 from volformer.volume import (
     AugmentPolicy,
     IDENTITY_POLICY,
-    SliceStack,
     Volume,
     augment,
     extract_slices,
@@ -211,6 +213,30 @@ class _FailingFile:
         self.fh.close()
 
 
+def write_curves(out, seed):
+    rng = np.random.default_rng(seed)
+    pred = PredictionSet([f"k{i}" for i in range(12)], rng.dirichlet(np.ones(3), 12),
+                         np.arange(12) % 3)
+    return list(export_curves(pred, out).values())
+
+
+def write_history(out, seed):
+    history = [EpochStats(e, 1e-4 * seed, 1.0 / (e + seed), 0.5, 0.25) for e in range(3)]
+    history_to_csv(history, out / "history_fold_0.csv")
+    return [out / "history_fold_0.csv"]
+
+
+def write_cohort(out, seed):
+    write_cohort_csv(synth_generate(4, seed, with_volumes=False)[0], out / "cohort.csv")
+    return [out / "cohort.csv"]
+
+
+def write_checkpoint(out, seed):
+    rng = np.random.default_rng(seed)
+    save_checkpoint(out / "fold_0.vfwt", {"w": rng.random((2, 3)), "b": rng.random(3)})
+    return [out / "fold_0.vfwt"]
+
+
 class TestAtomicWrites:
     @pytest.fixture
     def fail_writes(self, monkeypatch):
@@ -271,6 +297,20 @@ class TestAtomicWrites:
         assert [p.name for p in opened] == [f".{name}.{os.getpid()}.tmp"]
         assert (out / name).read_bytes() == old
         assert sorted(p.name for p in out.iterdir()) == before
+
+    @pytest.mark.parametrize("write", [write_curves, write_history, write_cohort,
+                                       write_checkpoint],
+                             ids=["curves", "history", "cohort", "checkpoint"])
+    def test_writer_failure_keeps_old_file(self, tmp_path, fail_writes, write):
+        paths = write(tmp_path, 1)
+        old = {p.name: p.read_bytes() for p in paths}
+        opened = fail_writes()
+        with pytest.raises(OSError, match="No space"):
+            write(tmp_path, 2)
+        # the first file fails mid-write, so no later one is opened
+        assert [p.name for p in opened] == [f".{paths[0].name}.{os.getpid()}.tmp"]
+        assert {p.name: p.read_bytes() for p in paths} == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
 
 
 def reproject_3d_oracle(volume, view):
@@ -371,20 +411,20 @@ class TestReproject:
 class TestAugment:
     def _stack(self, seed=12, k=4, hw=(24, 24)):
         rng = np.random.default_rng(seed)
-        return SliceStack("sag", rng.integers(0, 256, (k, *hw), np.uint8))
+        return rng.integers(0, 256, (k, *hw), np.uint8)
 
     def test_identity_policy_bit_identical(self):
         stack = self._stack()
         out = augment(stack, np.random.default_rng(0), IDENTITY_POLICY)
-        np.testing.assert_array_equal(out.slices, stack.slices)
+        np.testing.assert_array_equal(out, stack)
 
     def test_gamma_one_with_shift_only_preserves_values(self):
         stack = self._stack()
         policy = AugmentPolicy(max_shift_frac=0.2, max_rotate_deg=0.0, gamma_range=(1.0, 1.0))
         out = augment(stack, np.random.default_rng(3), policy)
-        assert out.slices.dtype == np.uint8
+        assert out.dtype == np.uint8
         # translation only rearranges existing intensities
-        assert set(np.unique(out.slices)) <= set(np.unique(stack.slices))
+        assert set(np.unique(out)) <= set(np.unique(stack))
 
     def test_rotation_round_trip_on_smooth_phantom(self):
         yy, xx = np.mgrid[0:32, 0:32]
@@ -400,13 +440,13 @@ class TestAugment:
         policy = AugmentPolicy(0.1, 10.0, (0.8, 1.25))
         a = augment(stack, np.random.default_rng(42), policy)
         b = augment(stack, np.random.default_rng(42), policy)
-        np.testing.assert_array_equal(a.slices, b.slices)
+        np.testing.assert_array_equal(a, b)
 
     def test_shape_preserved(self):
         stack = self._stack()
         out = augment(stack, np.random.default_rng(1), AugmentPolicy(0.1, 10.0, (0.8, 1.25)))
-        assert out.slices.shape == stack.slices.shape
-        assert out.slices.dtype == np.uint8
+        assert out.shape == stack.shape
+        assert out.dtype == np.uint8
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ConfigError):
@@ -418,16 +458,9 @@ class TestAugment:
 class TestExtractSlices:
     def test_all_slices_along_slice_axis(self):
         vol = random_volume(np.random.default_rng(13), dims=(8, 9, 5))
-        stack = extract_slices(vol, "sag")
-        assert stack.slices.shape == (5, 8, 9)
-        np.testing.assert_array_equal(stack.slices[2], vol.voxels[:, :, 2])
-
-    def test_even_subsampling(self):
-        vol = random_volume(np.random.default_rng(14), dims=(4, 4, 9))
-        stack = extract_slices(vol, "sag", count=3)
-        assert stack.k == 3
-        np.testing.assert_array_equal(stack.slices[0], vol.voxels[:, :, 0])
-        np.testing.assert_array_equal(stack.slices[2], vol.voxels[:, :, 8])
+        stack = extract_slices(vol)
+        assert stack.shape == (5, 8, 9)
+        np.testing.assert_array_equal(stack[2], vol.voxels[:, :, 2])
 
 
 class TestSynthCohort:

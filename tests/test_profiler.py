@@ -28,6 +28,24 @@ PROFILE_TOTALS = {
     "toy-conv2plus1d": (10_027_032, 2_011),
 }
 
+# the aggregator sizes in each preset's report notes, beside the two conventions
+PROFILE_SIZES = {
+    "full-2d-trf": {"model_dim": 2048, "mlp_ratio": 1.0},
+    "full-2d-trf-cor": {"model_dim": 2048, "mlp_ratio": 1.0},
+    "full-2d-trf-ax": {"model_dim": 2048, "mlp_ratio": 1.0},
+    "full-2d-fc": {"fc_hidden": 512},
+    "full-2d-bilstm": {"lstm_hidden": 256},
+    "full-multiview-shared": {"model_dim": 2048, "mlp_ratio": 1.0},
+    "full-multiview-individual": {"model_dim": 2048, "mlp_ratio": 1.0},
+    "toy-2d-trf": {"model_dim": 32, "mlp_ratio": 1.0},
+    "toy-2d-fc": {"fc_hidden": 32},
+    "toy-2d-bilstm": {"lstm_hidden": 16},
+    "toy-multiview-shared": {"model_dim": 32, "mlp_ratio": 1.0},
+    "toy-multiview-individual": {"model_dim": 32, "mlp_ratio": 1.0},
+    "toy-conv3d": {},
+    "toy-conv2plus1d": {},
+}
+
 
 def forward_macs(graph, monkeypatch):
     """MACs of one real predict_proba, counted at every conv_nd and matmul
@@ -54,7 +72,15 @@ def forward_macs(graph, monkeypatch):
 
 class TestProfileContract:
     def test_every_preset_listed(self):
-        assert set(PROFILE_TOTALS) == set(PRESETS)
+        assert set(PROFILE_TOTALS) == set(PROFILE_SIZES) == set(PRESETS)
+
+    @pytest.mark.parametrize("preset", sorted(PROFILE_SIZES))
+    def test_notes(self, preset):
+        assert count_macs(build_model(preset_config(preset))).notes == {
+            "macs_convention": "norm/activation/pool layers counted as 0 MACs",
+            "attention_rows": "projection and score/value MACs emitted separately",
+            **PROFILE_SIZES[preset],
+        }
 
     @pytest.mark.parametrize("preset", sorted(PROFILE_TOTALS))
     def test_totals_rows_and_real_forward(self, preset, monkeypatch):

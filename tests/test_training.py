@@ -15,7 +15,7 @@ from volformer.training import (
     lr_schedule,
     train_fold,
 )
-from volformer.volume import IDENTITY_POLICY
+from volformer.volume import IDENTITY_POLICY, AugmentPolicy
 
 from gradcheck import assert_grads_match
 
@@ -87,6 +87,11 @@ class TestLrSchedule:
             TrainConfig(warmup_epochs=100, epochs=100).validate()
         with pytest.raises(ConfigError):
             TrainConfig(lr_main=0.0).validate()
+
+    def test_invalid_augment_policy_rejected_up_front(self):
+        # checked with the rest of the config, not at the first augment call
+        with pytest.raises(ConfigError, match="gamma_range"):
+            TrainConfig(augment_policy=AugmentPolicy(gamma_range=(0.0, 1.0))).validate()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("name", ["lr_start", "lr_main", "weight_decay", "focal_gamma"])
