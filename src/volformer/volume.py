@@ -11,6 +11,7 @@ in-slice grid to isotropic spacing with about the original voxel count (see
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ class Volume:
         if self.voxels.ndim != 3:
             raise ConfigError(f"volumes are 3-D, got shape {self.voxels.shape}")
         self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or min(self.spacing) <= 0:
-            raise ConfigError(f"spacing must be 3 positive values, got {self.spacing}")
+        if len(self.spacing) != 3 or not all(0 < s < math.inf for s in self.spacing):
+            raise ConfigError(f"spacing must be 3 positive finite values, got {self.spacing}")
 
     @property
     def dims(self):
@@ -86,7 +87,10 @@ def read_volume_header(path):
     dims = (d0, d1, d2)
     if min(dims) < 1 or int(d0) * int(d1) * int(d2) > 2**40:
         raise DataError(f"{path}: implausible dims {dims} at offset 7")
-    return dims, (s0, s1, s2), code
+    spacing = (s0, s1, s2)
+    if not all(0 < s < math.inf for s in spacing):
+        raise DataError(f"{path}: spacing {spacing} not positive and finite at offset 19")
+    return dims, spacing, code
 
 
 def load_volume(path) -> Volume:
@@ -191,12 +195,17 @@ def reproject(volume: Volume, view) -> Volume:
     can miss it: 32x32x16 at (0.8, 0.8, 1.6) mm needs 512 in-slice voxels for
     ``cor`` and gets 23 x 23 (+3.3%), 16x16x8 gets 11 x 11 (-5.5%).
 
-    Resampling is bilinear with edge clamping, one slice at a time on one
-    2-D ``(m0, m1)`` coordinate grid, into one preallocated output: uint8
-    (rounded and clipped) for a uint8 volume, float32 otherwise. The slice
-    positions are whole numbers, so this equals trilinear interpolation at
-    ``(i, j, k)``, whose slice-axis terms carry zero weight, with no 3-D
-    coordinate grid and no float copy of a uint8 volume."""
+    Resampling is bilinear with edge clamping, into one preallocated output:
+    uint8 (rounded and clipped) for a uint8 volume, float32 otherwise. The
+    grid is separable, so each axis's two taps and weights are computed once
+    (``_bilinear_taps``) and each output row is filled for every slice from
+    gathers of two weighted source rows: the temporaries are a few rows of
+    float64. The arithmetic is that of ``scipy.ndimage.map_coordinates``
+    with ``order=1, mode="nearest"``, bit for bit: the four
+    ``value * w_row * w_col`` terms are summed in float64 in corner order,
+    then cast to float32. The slice positions are whole numbers, so this
+    equals trilinear interpolation at ``(i, j, k)``, whose slice-axis terms
+    carry zero weight."""
     if view not in VIEW_PERMUTATIONS:
         raise ConfigError(f"unknown view {view!r}")
     perm = VIEW_PERMUTATIONS[view]
@@ -205,23 +214,45 @@ def reproject(volume: Volume, view) -> Volume:
     if abs(spacing[0] - spacing[1]) < 1e-9:
         return Volume(np.ascontiguousarray(vox), spacing)
 
-    from scipy import ndimage
-    n_slices = vox.shape[2]
-    m0, m1, s = _isotropic_grid(vox.shape[:2], spacing[:2], vox.size / n_slices)
-    # voxel centers at (i + 0.5) * spacing
-    src0 = ((np.arange(m0) + 0.5) * s) / spacing[0] - 0.5
-    src1 = ((np.arange(m1) + 0.5) * s) / spacing[1] - 0.5
-    grid = np.meshgrid(src0, src1, indexing="ij")
+    n0, n1, n_slices = vox.shape
+    m0, m1, s = _isotropic_grid((n0, n1), spacing[:2], vox.size / n_slices)
+    taps0, weights0 = _bilinear_taps(m0, s, spacing[0], n0)
+    taps1, weights1 = _bilinear_taps(m1, s, spacing[1], n1)
+    weights1 = weights1[:, :, None]
     if vox.dtype != np.uint8:
         vox = vox.astype(np.float32, copy=False)
     out = np.empty((m0, m1, n_slices), vox.dtype)
-    plane = np.empty((m0, m1), np.float32)
-    for k in range(n_slices):
-        ndimage.map_coordinates(vox[:, :, k], grid, output=plane, order=1, mode="nearest")
+    rows = np.empty((2, n1, n_slices))
+    acc, term = np.empty((2, m1, n_slices))
+    plane = np.empty((m1, n_slices), np.float32)
+    for i in range(m0):  # value * w_row * w_col per corner, summed in corner order
+        for a in range(2):
+            np.multiply(vox[taps0[a, i]], weights0[a, i], out=rows[a])
+        np.take(rows[0], taps1[0], axis=0, out=acc)
+        acc *= weights1[0]
+        for a, b in ((0, 1), (1, 0), (1, 1)):
+            np.take(rows[a], taps1[b], axis=0, out=term)
+            term *= weights1[b]
+            acc += term
+        np.copyto(plane, acc)
         if out.dtype == np.uint8:
             np.clip(np.round(plane, out=plane), 0, 255, out=plane)
-        out[:, :, k] = plane
+        out[i] = plane
     return Volume(out, (s, s, spacing[2]))
+
+
+def _bilinear_taps(m, s, spacing, n):
+    """Source taps (2, m) and weights (2, m) of ``m`` output voxels of
+    spacing ``s`` on an axis of ``n`` voxels of ``spacing``: the lower tap
+    ``floor(c)`` weighs ``1 - (c - floor(c))``, the upper one the rest, and
+    taps outside the axis are clipped to its edge voxels (the coordinate is
+    not clamped, as in ``map_coordinates``)."""
+    # voxel centers at (i + 0.5) * spacing
+    c = ((np.arange(m) + 0.5) * s) / spacing - 0.5
+    start = np.floor(c)
+    w_low = 1.0 - (c - start)
+    taps = np.clip(np.stack([start, start + 1]), 0, n - 1).astype(np.intp)
+    return taps, np.stack([w_low, 1.0 - w_low])
 
 
 def extract_slices(volume: Volume):

@@ -1,11 +1,13 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import volformer
@@ -13,6 +15,7 @@ from volformer import cli
 from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.cli import main
 from volformer.manifest import read_manifest, write_manifest
+from volformer.volume import Volume, load_volume, save_volume
 
 
 def run(*argv):
@@ -218,6 +221,23 @@ class TestErrorPaths:
         assert "Traceback" not in err and err.count("\n") == 1
         assert os.environ.get("OMP_NUM_THREADS") == threads_before
 
+    @pytest.mark.parametrize("axis, value", [(0, "nan"), (1, "nan"), (1, "inf"), (2, "0"),
+                                             (0, "-0.7")])
+    def test_bad_spacing_exits_3_with_one_line(self, tmp_path, capsys, axis, value):
+        vols = tmp_path / "volumes"
+        vols.mkdir()
+        path = vols / "knee.vvol"
+        save_volume(Volume(np.zeros((16, 16, 8), np.uint8), (0.73, 0.73, 1.4)), path)
+        raw = bytearray(path.read_bytes())
+        raw[19 + 4 * axis:23 + 4 * axis] = struct.pack("<f", float(value))
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "cor"
+        assert run("preprocess", "--volumes", vols, "--out", out, "--view", "cor",
+                   "--crop", "16x16x8") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}: spacing" in err and "offset 19" in err
+        assert not list(out.glob("*.vvol"))
+
     def test_out_of_memory_exits_3_with_one_line(self, tmp_path, cohort_dir, monkeypatch,
                                                  capsys):
         from volformer import autograd
@@ -288,6 +308,27 @@ assert cli.main(["profile", "--preset", "toy-2d-trf",
     assert scipy_modules_after(code) == []
     assert len(list((tmp_path / "sag").glob("*.vvol"))) == 80
     assert (tmp_path / "profile" / "report.json").is_file()
+
+
+@pytest.mark.parametrize("view", ["cor", "ax"])
+def test_cor_and_ax_preprocess_leave_out_scipy(tmp_path, view):
+    vols = tmp_path / "volumes"
+    vols.mkdir()
+    rng = np.random.default_rng(5)
+    for i in range(2):  # anisotropic, so both views resample in-slice
+        save_volume(Volume(rng.integers(0, 256, (32, 32, 16), np.uint8), (0.73, 0.73, 1.4)),
+                    vols / f"knee{i}.vvol")
+    out = tmp_path / view
+    code = f"""
+from volformer import cli
+assert cli.main(["preprocess", "--volumes", {str(vols)!r}, "--out", {str(out)!r},
+                 "--crop", "32x32x16", "--view", {view!r}]) == 0
+"""
+    assert scipy_modules_after(code) == []
+    outputs = [load_volume(path) for path in sorted(out.glob("*.vvol"))]
+    assert len(outputs) == 2
+    for vol in outputs:  # 16 x 16 x 8 after the crop and downsample
+        assert vol.spacing[0] == vol.spacing[1] and vol.dims[:2] != (16, 8)
 
 
 @pytest.fixture(scope="module")

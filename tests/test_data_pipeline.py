@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from volformer import manifest
 from volformer import volume as volume_module
@@ -60,6 +62,15 @@ class TestVolumeIO:
         path.write_bytes(raw[:20])  # inside the header itself
         with pytest.raises(DataError, match="truncated header"):
             read_volume_header(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_spacing_must_be_positive_and_finite(self, bad):
+        vox = np.zeros((2, 2, 2), np.uint8)
+        for axis in range(3):
+            spacing = [1.0, 1.0, 1.0]
+            spacing[axis] = bad
+            with pytest.raises(ConfigError, match="positive finite"):
+                Volume(vox, spacing)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.vvol"
@@ -331,7 +342,79 @@ def reproject_3d_oracle(volume, view):
     return out, (s, s, spacing[2])
 
 
+def reproject_per_slice_oracle(volume, view):
+    """``reproject`` as one 2-D ``map_coordinates`` call per slice, and the
+    source coordinates of the in-slice grid's rows and columns."""
+    from scipy import ndimage
+    perm = volume_module.VIEW_PERMUTATIONS[view]
+    vox = np.transpose(volume.voxels, perm).astype(np.float32)
+    spacing = tuple(volume.spacing[p] for p in perm)
+    n = vox.shape[2]
+    m0, m1, s = volume_module._isotropic_grid(vox.shape[:2], spacing[:2], vox.size / n)
+    src0 = ((np.arange(m0) + 0.5) * s) / spacing[0] - 0.5
+    src1 = ((np.arange(m1) + 0.5) * s) / spacing[1] - 0.5
+    grid = np.meshgrid(src0, src1, indexing="ij")
+    out = np.stack([ndimage.map_coordinates(vox[:, :, k], grid, order=1, mode="nearest")
+                    for k in range(n)], axis=2)
+    if volume.voxels.dtype == np.uint8:
+        out = np.clip(np.round(out), 0, 255).astype(np.uint8)
+    return out, (src0, src1)
+
+
+def bilinear_probe_voxels(rng, dims, dtype):
+    """Random voxels; float32 ones of both signs over 30 orders of
+    magnitude, far outside the range of a quantised volume."""
+    if dtype == np.uint8:
+        return rng.integers(0, 256, dims, dtype=np.uint8)
+    return (rng.standard_normal(dims) * 10.0 ** rng.integers(0, 30, dims)).astype(np.float32)
+
+
+def assert_reproject_matches_scipy(vol, view):
+    out = reproject(vol, view)
+    expected, coords = reproject_per_slice_oracle(vol, view)
+    assert out.voxels.dtype == expected.dtype and out.dims == expected.shape
+    assert out.voxels.tobytes() == expected.tobytes()
+    return coords
+
+
 class TestReproject:
+    @settings(max_examples=150, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 12)] * 3),
+           spacing=st.tuples(*[st.floats(0.2, 3.0)] * 3),
+           dtype=st.sampled_from([np.uint8, np.float32]),
+           view=st.sampled_from(["cor", "ax"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_per_slice_scipy_bilinear(self, dims, spacing, dtype, view, seed):
+        perm = volume_module.VIEW_PERMUTATIONS[view]
+        assume(abs(spacing[perm[0]] - spacing[perm[1]]) >= 1e-9)  # else no resampling
+        vol = Volume(bilinear_probe_voxels(np.random.default_rng(seed), dims, dtype), spacing)
+        assert_reproject_matches_scipy(vol, view)
+
+    @pytest.mark.parametrize("view", ["cor", "ax"])
+    def test_paper_size_equals_per_slice_scipy_bilinear(self, view):
+        # 1.65 M outputs: some land within a float32 ulp of x.5, where
+        # rounding before or after the float32 cast gives different bytes
+        vol = Volume(np.random.default_rng(24).integers(0, 256, (160, 160, 64), np.uint8),
+                     (0.73, 0.73, 1.4))
+        assert_reproject_matches_scipy(vol, view)
+
+    @pytest.mark.parametrize("view", ["cor", "ax"])
+    @pytest.mark.parametrize("dims,spacing", [
+        ((9, 7, 5), (0.5, 2.5, 1.3)), ((13, 1, 6), (0.4, 0.9, 2.2)),
+        ((1, 11, 4), (1.7, 0.3, 0.8)), ((6, 8, 1), (2.9, 0.6, 0.35)),
+    ])
+    def test_edge_coordinates_outside_the_grid(self, view, dims, spacing):
+        # upsampled axes put their first source coordinate below 0 and their
+        # last above n - 1
+        rng = np.random.default_rng(23)
+        n0, n1 = np.transpose(np.empty(dims), volume_module.VIEW_PERMUTATIONS[view]).shape[:2]
+        for dtype in (np.uint8, np.float32):
+            vol = Volume(bilinear_probe_voxels(rng, dims, dtype), spacing)
+            src0, src1 = assert_reproject_matches_scipy(vol, view)
+            low = [c[0] < 0 for c in (src0, src1)]
+            high = [c[-1] > n - 1 for c, n in ((src0, n0), (src1, n1))]
+            assert any(low) and any(high)
+
     @pytest.mark.parametrize("view", ["cor", "ax"])
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
     def test_per_slice_equals_the_3d_interpolation(self, view, dtype):
