@@ -106,6 +106,8 @@ class ModelConfig:
             raise ConfigError("stage_widths and blocks_per_stage lengths differ")
         if min(self.encoder.stage_widths) < 1 or min(self.encoder.blocks_per_stage) < 1:
             raise ConfigError("encoder stage widths and block counts must be positive")
+        if self.family in VOLUMETRIC_FAMILIES and self.encoder.stem_pool:
+            raise ConfigError(f"family {self.family} has no stem pool; set encoder.stem_pool = false")
         for v in self.views:
             if v not in self.slice_count or v not in self.slice_shape:
                 raise ConfigError(f"missing slice_count/slice_shape for view {v!r}")

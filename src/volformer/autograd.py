@@ -4,6 +4,9 @@ Tensors wrap row-major numpy arrays. Every differentiable op returns a new
 Tensor holding a backward closure; calling :func:`backward` on a scalar loss
 walks the recorded graph once in reverse topological order and accumulates
 gradients into ``.grad`` of every reachable tensor that requires them.
+An op states its forward value and, per operand, a map from the output's
+gradient to that operand's; :func:`_op` writes the closure from them.
+``batch_norm`` writes its own, as its three gradients share two reductions.
 
 Convolutions follow the deep-learning convention (cross-correlation, no
 kernel flip). Storage is dense row-major only; there are no strided views.
@@ -41,15 +44,19 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _array(data):
+    """``data`` as a Tensor stores it: an array as is, anything else (such
+    as the numpy scalar a ufunc returns for a 0-d input) as float64."""
+    return data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
+
+
 class Tensor:
     """A dense numpy-backed value in the autodiff graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad=False):
-        if not isinstance(data, np.ndarray):
-            data = np.asarray(data, dtype=np.float64)
-        self.data = data
+        self.data = _array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._backward = None
@@ -183,6 +190,21 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _op(parents, out_data, *grads):
+    """The result of an op on ``parents``: ``grads[i]`` maps the output's
+    gradient to that of ``parents[i]``. Backward calls it only for a parent
+    that requires a gradient, and unbroadcasts its value to the parent's
+    shape before accumulating it."""
+
+    def bw(out):
+        g = out.grad
+        for parent, grad in zip(parents, grads):
+            if parent.requires_grad:
+                parent.accumulate_grad(_unbroadcast(grad(g), parent.shape))
+
+    return _make(out_data, parents, bw)
+
+
 # ---------------------------------------------------------------------------
 # elementwise / arithmetic
 
@@ -191,98 +213,46 @@ def add(a, b):
     a, b = _as_tensor(a, b), _as_tensor(b, a)
     if recorder is not None:
         return _meta_like(a, b)
-    out_data = a.data + b.data
-
-    def bw(out):
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
-
-    return _make(out_data, (a, b), bw)
+    return _op((a, b), a.data + b.data, lambda g: g, lambda g: g)
 
 
 def sub(a, b):
     a, b = _as_tensor(a, b), _as_tensor(b, a)
     if recorder is not None:
         return _meta_like(a, b)
-    out_data = a.data - b.data
-
-    def bw(out):
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), bw)
+    return _op((a, b), a.data - b.data, lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
     a, b = _as_tensor(a, b), _as_tensor(b, a)
     if recorder is not None:
         return _meta_like(a, b)
-    out_data = a.data * b.data
-
-    def bw(out):
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return _make(out_data, (a, b), bw)
+    return _op((a, b), a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b):
     a, b = _as_tensor(a, b), _as_tensor(b, a)
     if recorder is not None:
         return _meta_like(a, b)
-    out_data = a.data / b.data
-
-    def bw(out):
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out_data, (a, b), bw)
+    return _op((a, b), a.data / b.data,
+               lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
 
 
 def power(a, p):
     a = _as_tensor(a)
     p = float(p)
-    out_data = a.data**p
-
-    def bw(out):
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * p * a.data ** (p - 1.0))
-
-    return _make(out_data, (a,), bw)
+    return _op((a,), a.data**p, lambda g: g * p * a.data ** (p - 1.0))
 
 
 def exp(a):
     a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bw(out):
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * out.data)
-
-    return _make(out_data, (a,), bw)
+    out_data = _array(np.exp(a.data))  # the gradient reads the stored output
+    return _op((a,), out_data, lambda g: g * out_data)
 
 
 def log(a):
     a = _as_tensor(a)
-    out_data = np.log(a.data)
-
-    def bw(out):
-        if a.requires_grad:
-            a.accumulate_grad(out.grad / a.data)
-
-    return _make(out_data, (a,), bw)
+    return _op((a,), np.log(a.data), lambda g: g / a.data)
 
 
 def clamp_min(a, lo):
@@ -290,13 +260,7 @@ def clamp_min(a, lo):
     a = _as_tensor(a)
     if recorder is not None:
         return _meta_like(a)
-    out_data = np.maximum(a.data, lo)
-
-    def bw(out):
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * (a.data >= lo))
-
-    return _make(out_data, (a,), bw)
+    return _op((a,), np.maximum(a.data, lo), lambda g: g * (a.data >= lo))
 
 
 def relu(a):
@@ -308,26 +272,16 @@ def sigmoid(a):
     if recorder is not None:
         return _meta_like(a)
     from scipy.special import expit
-    out_data = expit(a.data)
-
-    def bw(out):
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * out.data * (1.0 - out.data))
-
-    return _make(out_data, (a,), bw)
+    out_data = _array(expit(a.data))
+    return _op((a,), out_data, lambda g: g * out_data * (1.0 - out_data))
 
 
 def tanh(a):
     a = _as_tensor(a)
     if recorder is not None:
         return _meta_like(a)
-    out_data = np.tanh(a.data)
-
-    def bw(out):
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * (1.0 - out.data * out.data))
-
-    return _make(out_data, (a,), bw)
+    out_data = _array(np.tanh(a.data))
+    return _op((a,), out_data, lambda g: g * (1.0 - out_data * out_data))
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -341,14 +295,12 @@ def gelu(a):
         return _meta_like(a)
     from scipy.special import erf
     cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out_data = a.data * cdf
 
-    def bw(out):
-        if a.requires_grad:
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-            a.accumulate_grad(out.grad * (cdf + a.data * pdf))
+    def grad(g):
+        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
+        return g * (cdf + a.data * pdf)
 
-    return _make(out_data, (a,), bw)
+    return _op((a,), a.data * cdf, grad)
 
 
 def dropout(a, rate, rng):
@@ -359,31 +311,24 @@ def dropout(a, rate, rng):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     a = _as_tensor(a)
     keep = (rng.random(a.shape) >= rate).astype(a.dtype) / (1.0 - rate)
-    out_data = a.data * keep
-
-    def bw(out):
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * keep)
-
-    return _make(out_data, (a,), bw)
+    return _op((a,), a.data * keep, lambda g: g * keep)
 
 
 # ---------------------------------------------------------------------------
 # reductions / shape
 
 
+def _spread(g, shape, axis, keepdims):
+    """The gradient of a sum over ``axis``: ``g`` broadcast back to ``shape``."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
 def tsum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(out):
-        if a.requires_grad:
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a.accumulate_grad(np.broadcast_to(g, a.shape))
-
-    return _make(out_data, (a,), bw)
+    return _op((a,), a.data.sum(axis=axis, keepdims=keepdims),
+               lambda g: _spread(g, a.shape, axis, keepdims))
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -394,51 +339,30 @@ def tmean(a, axis=None, keepdims=False):
                           if keepdims or i not in axes), a.dtype)
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size / out_data.size
-
-    def bw(out):
-        if a.requires_grad:
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a.accumulate_grad(np.broadcast_to(g, a.shape) / count)
-
-    return _make(out_data, (a,), bw)
+    return _op((a,), out_data, lambda g: _spread(g, a.shape, axis, keepdims) / count)
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def bw(out):
-        if a.requires_grad:
-            a.accumulate_grad(out.grad.reshape(a.shape))
-
-    return _make(out_data, (a,), bw)
+    # reshaped back explicitly: unbroadcasting would sum a longer shape's lead axes
+    return _op((a,), a.data.reshape(shape), lambda g: g.reshape(a.shape))
 
 
 def transpose(a, axes=None):
     a = _as_tensor(a)
-    out_data = np.transpose(a.data, axes)
-
-    def bw(out):
-        if a.requires_grad:
-            inv = None if axes is None else np.argsort(axes)
-            a.accumulate_grad(np.transpose(out.grad, inv))
-
-    return _make(out_data, (a,), bw)
+    return _op((a,), np.transpose(a.data, axes),
+               lambda g: np.transpose(g, None if axes is None else np.argsort(axes)))
 
 
 def getitem(a, key):
     a = _as_tensor(a)
-    out_data = a.data[key]
 
-    def bw(out):
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[key] += out.grad
-            a.accumulate_grad(g)
+    def grad(g):
+        ga = np.zeros_like(a.data)
+        ga[key] += g
+        return ga
 
-    return _make(out_data, (a,), bw)
+    return _op((a,), a.data[key], grad)
 
 
 def concat(tensors, axis=0):
@@ -450,30 +374,21 @@ def concat(tensors, axis=0):
         shape[axis] = sum(t.shape[axis] for t in tensors)
         return meta(tuple(shape), np.result_type(*(t.dtype for t in tensors)))
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def bw(out):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * out.grad.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate_grad(out.grad[tuple(idx)])
+    def part(lo, hi):
+        idx = [slice(None)] * out_data.ndim
+        idx[axis] = slice(lo, hi)
+        return lambda g: g[tuple(idx)]
 
-    return _make(out_data, tuple(tensors), bw)
+    return _op(tuple(tensors), out_data, *map(part, offsets[:-1], offsets[1:]))
 
 
 def pad_spatial(a, pad_width):
     """Zero-pad; pad_width in np.pad format."""
     a = _as_tensor(a)
-    out_data = np.pad(a.data, pad_width)
-
-    def bw(out):
-        if a.requires_grad:
-            idx = tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, a.shape))
-            a.accumulate_grad(out.grad[idx])
-
-    return _make(out_data, (a,), bw)
+    return _op((a,), np.pad(a.data, pad_width),
+               lambda g: g[tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, a.shape))])
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +405,9 @@ def matmul(a, b):
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
         recorder.add_macs(math.prod(shape) * a.shape[-1])
         return meta(shape, np.result_type(a.dtype, b.dtype))
-    out_data = a.data @ b.data
-
-    def bw(out):
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-
-    return _make(out_data, (a, b), bw)
+    return _op((a, b), a.data @ b.data,
+               lambda g: g @ b.data.swapaxes(-1, -2),
+               lambda g: a.data.swapaxes(-1, -2) @ g)
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +422,8 @@ def softmax(a, axis=-1):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(out):
-        if a.requires_grad:
-            y, g = out.data, out.grad
-            a.accumulate_grad(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-
-    return _make(out_data, (a,), bw)
+    return _op((a,), out_data,
+               lambda g: out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)))
 
 
 def batch_norm(x, gamma, beta, axes, eps=1e-5):
@@ -585,21 +488,15 @@ def layer_norm(x, gamma, beta, eps=1e-5, axis=-1):
     var = x.data.var(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out_data = xhat * gamma.data + beta.data
 
-    def bw(out):
-        g = out.grad
-        if gamma.requires_grad:
-            gamma.accumulate_grad(_unbroadcast(g * xhat, gamma.shape))
-        if beta.requires_grad:
-            beta.accumulate_grad(_unbroadcast(g, beta.shape))
-        if x.requires_grad:
-            gx = g * gamma.data
-            m1 = gx.mean(axis=axis, keepdims=True)
-            m2 = (gx * xhat).mean(axis=axis, keepdims=True)
-            x.accumulate_grad(inv * (gx - m1 - xhat * m2))
+    def grad_x(g):
+        gx = g * gamma.data
+        m1 = gx.mean(axis=axis, keepdims=True)
+        m2 = (gx * xhat).mean(axis=axis, keepdims=True)
+        return inv * (gx - m1 - xhat * m2)
 
-    return _make(out_data, (x, gamma, beta), bw)
+    return _op((x, gamma, beta), xhat * gamma.data + beta.data,
+               grad_x, lambda g: g * xhat, lambda g: g)
 
 
 # ---------------------------------------------------------------------------
@@ -752,14 +649,12 @@ def conv_nd(x, w, stride=1, padding=0):
     cols = _im2col(x.data, kernel, stride, padding, lout)
     out_data = np.matmul(wmat, cols).reshape((x.shape[0], w.shape[0]) + lout)
 
-    def bw(out):
-        g = out.grad.reshape(out.shape[0], out.shape[1], -1)
-        if w.requires_grad:
-            w.accumulate_grad(_conv_weight_grad(g, cols).reshape(w.shape))
-        if x.requires_grad:
-            x.accumulate_grad(_col2im(np.matmul(wmat.T, g), x.shape, kernel, stride, padding, lout))
+    def flat(g):
+        return g.reshape(g.shape[0], g.shape[1], -1)
 
-    return _make(out_data, (x, w), bw)
+    return _op((x, w), out_data,
+               lambda g: _col2im(np.matmul(wmat.T, flat(g)), x.shape, kernel, stride, padding, lout),
+               lambda g: _conv_weight_grad(flat(g), cols).reshape(w.shape))
 
 
 def _pool_geometry(shape, window, stride, padding):
@@ -786,17 +681,16 @@ def max_pool_nd(x, window, stride=None, padding=0):
     for _, sl in slices[1:]:
         np.maximum(out_data, xp[sl], out=out_data)
 
-    def bw(out):
-        if x.requires_grad:
-            gp = np.zeros(xp.shape, dtype=out.grad.dtype)
-            free = np.ones(out.shape, dtype=bool)
-            for _, sl in slices:
-                hit = free & (xp[sl] == out_data)
-                gp[sl] += out.grad * hit
-                free &= ~hit
-            x.accumulate_grad(_crop(gp, padding, x.shape))
+    def grad(g):
+        gp = np.zeros(xp.shape, dtype=g.dtype)
+        free = np.ones(out_data.shape, dtype=bool)
+        for _, sl in slices:
+            hit = free & (xp[sl] == out_data)
+            gp[sl] += g * hit
+            free &= ~hit
+        return _crop(gp, padding, x.shape)
 
-    return _make(out_data, (x,), bw)
+    return _op((x,), out_data, grad)
 
 
 def avg_pool_nd(x, window, stride=None, padding=0):
@@ -809,15 +703,14 @@ def avg_pool_nd(x, window, stride=None, padding=0):
         out_data += xp[sl]
     out_data /= len(slices)
 
-    def bw(out):
-        if x.requires_grad:
-            gp = np.zeros(xp.shape, dtype=out.grad.dtype)
-            g = out.grad / len(slices)
-            for _, sl in slices:
-                gp[sl] += g
-            x.accumulate_grad(_crop(gp, padding, x.shape))
+    def grad(g):
+        gp = np.zeros(xp.shape, dtype=g.dtype)
+        g = g / len(slices)
+        for _, sl in slices:
+            gp[sl] += g
+        return _crop(gp, padding, x.shape)
 
-    return _make(out_data, (x,), bw)
+    return _op((x,), out_data, grad)
 
 
 def global_avg_pool(x):

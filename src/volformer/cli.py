@@ -38,7 +38,14 @@ from .evaluation import (
     export_curves,
 )
 from .experiment import assemble_samples, check_sample_spec
-from .manifest import atomic_writer, file_sha256, read_manifest, write_json, write_manifest
+from .manifest import (
+    atomic_writer,
+    clear_manifest,
+    file_sha256,
+    read_manifest,
+    write_json,
+    write_manifest,
+)
 from .modelconfig import (
     DIMS,
     FLOAT,
@@ -153,6 +160,7 @@ def cmd_synth(args):
     out = Path(args.out)
     vol_dir = out / "volumes"
     vol_dir.mkdir(parents=True, exist_ok=True)
+    clear_manifest(out, "synth")
     spec = SynthSpec(dims=DIMS.parse(args.dims, "--dims")) if args.dims else SynthSpec()
     records, _ = synth_generate(args.subjects, args.seed, spec=spec, out_dir=vol_dir)
     cohort_path = out / "cohort.csv"
@@ -173,6 +181,7 @@ def cmd_preprocess(args):
     files = sorted(Path(args.volumes).glob("*.vvol"))
     if not files:
         raise DataError(f"no .vvol volumes found in {args.volumes}")
+    clear_manifest(out, "preprocess")
     outputs = []
     for path in files:
         vol = preprocess(load_volume(path), crop, factors)
@@ -192,6 +201,7 @@ def cmd_label(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kept, excluded = _load_labelled(args.cohort)
+    clear_manifest(out, "label")
     labels_path = out / "labels.csv"
     with atomic_writer(labels_path, "w", encoding="utf-8") as fh:
         fh.write("knee_id,class,class_name,event_month,rule_trace\n")
@@ -216,6 +226,7 @@ def cmd_split(args):
     out.mkdir(parents=True, exist_ok=True)
     kept, _ = _load_labelled(args.cohort)
     splits = split_dataset(kept, args.holdout, n_folds=args.folds, seed=args.seed)
+    clear_manifest(out, "split")
     splits_path = out / "splits.json"
     write_json(splits_path, splits.to_dict())
     write_manifest(out, "split",
@@ -276,6 +287,8 @@ def cmd_train(args):
     if args.fold is not None and not 0 <= args.fold < cfg["folds"]:
         raise ConfigError(f"--fold {args.fold} outside 0..{cfg['folds'] - 1}")
 
+    command = "train" if args.fold is None else f"train_fold{args.fold}"
+    clear_manifest(out, command)
     jobs = []
     for fold_index in fold_indices:
         train_ids, val_ids = splits.fold_train_val(fold_index)
@@ -318,7 +331,6 @@ def cmd_train(args):
     manifest_cfg["model_config_text"] = format_model_config(model_cfg)
     manifest_cfg["excluded"] = len(excluded)
     manifest_cfg["fold_summary"] = summary
-    command = "train" if args.fold is None else f"train_fold{args.fold}"
     write_manifest(out, command, config=manifest_cfg,
                    inputs=[cfg["cohort"]] + _hash_inputs_dir(cfg["volumes"]),
                    outputs=outputs, seeds={"seed": cfg["seed"]})
@@ -376,6 +388,7 @@ def cmd_evaluate(args):
     report.metadata["snapshots"] = [c.name for c in ckpts]
     train_manifest_hashes = {m.name: file_sha256(m) for m in manifests}
 
+    clear_manifest(out, "evaluate")
     report_path = out / "report.json"
     write_json(report_path, report.to_dict())
     pred_path = out / "predictions.csv"
@@ -437,6 +450,7 @@ def cmd_profile(args):
         payload["timing"] = time_inference(graph, input_spec).to_dict()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    clear_manifest(out.parent, "profile")
     write_json(out, payload)
     write_manifest(out.parent, "profile",
                    config={"preset": args.preset, "config": args.config,
@@ -468,6 +482,7 @@ def cmd_curves(args):
     pred = PredictionSet(knee_ids=[r[0] for r in rows],
                          probs=np.array([r[2] for r in rows]),
                          labels=np.array([r[1] for r in rows]))
+    clear_manifest(args.out, "curves")
     paths = export_curves(pred, args.out)
     write_manifest(args.out, "curves", config={},
                    inputs=[args.predictions],

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cohort import CLASS_NAMES
 from .errors import ConfigError, UsageError
 from .manifest import atomic_writer
 
@@ -98,8 +99,9 @@ def pr_curve_points(scores, labels):
     return rows
 
 
-def balanced_accuracy_and_confusion(pred_class, labels, n_classes=3):
+def balanced_accuracy_and_confusion(pred_class, labels):
     """Mean per-class recall and the matrix with true classes as rows."""
+    n_classes = len(CLASS_NAMES)
     pred_class = np.asarray(pred_class, dtype=int)
     labels = np.asarray(labels, dtype=int)
     if pred_class.shape != labels.shape:

@@ -50,6 +50,13 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def clear_manifest(out_dir, command):
+    """Remove ``manifest_<command>.json`` from ``out_dir``. A command calls
+    this before it writes its first output, so a run that fails part way
+    never leaves new outputs beside an old manifest."""
+    (Path(out_dir) / f"manifest_{command}.json").unlink(missing_ok=True)
+
+
 def write_manifest(out_dir, command, config, inputs, outputs, seeds):
     """Write manifest_<command>.json into out_dir and return its path.
 

@@ -309,46 +309,41 @@ class Sequential(Module):
 class Linear(Module):
     kind = "linear"
 
-    def __init__(self, in_features, out_features, init, bias=True):
+    def __init__(self, in_features, out_features, init):
         super().__init__()
         self.weight = init.param((in_features, out_features), "xavier_uniform",
                                  fan_in=in_features, fan_out=out_features)
-        self.bias = init.param((out_features,), "zeros") if bias else None
+        self.bias = init.param((out_features,), "zeros")
 
     def forward(self, x, ctx=EVAL_CTX):
-        y = ag.matmul(x, self.weight.tensor)
-        if self.bias is not None:
-            y = y + self.bias.tensor
-        return y
+        return ag.matmul(x, self.weight.tensor) + self.bias.tensor
 
 
 class Conv(Module):
-    """N-d convolution layer (cross-correlation), bias-free by default."""
+    """Bias-free N-d convolution layer (cross-correlation): a BatchNorm
+    follows every one."""
 
     kind = "conv"
 
-    def __init__(self, in_channels, out_channels, kernel, init, stride=1, padding=0,
-                 dims=2, bias=False):
+    def __init__(self, in_channels, out_channels, kernel, init, stride=1, padding=0, dims=2):
         super().__init__()
         self.dims = dims
         kernel = kernel if isinstance(kernel, tuple) else (kernel,) * dims
         self.stride = stride if isinstance(stride, tuple) else (stride,) * dims
         self.padding = padding if isinstance(padding, tuple) else (padding,) * dims
-        self.out_channels = out_channels
         fan_in = in_channels * int(np.prod(kernel))
         self.weight = init.param((out_channels, in_channels) + kernel, "he_normal", fan_in=fan_in)
-        self.bias = init.param((out_channels,), "zeros") if bias else None
 
     def forward(self, x, ctx=EVAL_CTX):
-        y = ag.conv_nd(x, self.weight.tensor, self.stride, self.padding)
-        if self.bias is not None:
-            b = ag.reshape(self.bias.tensor, (self.out_channels,) + (1,) * self.dims)
-            y = y + b
-        return y
+        return ag.conv_nd(x, self.weight.tensor, self.stride, self.padding)
+
+
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 class BatchNorm(Module):
-    """Batch normalization with running statistics (momentum 0.1).
+    """Batch normalization with running statistics (momentum ``BN_MOMENTUM``).
 
     Training mode normalizes with batch statistics over (batch, spatial) and
     updates the running estimates; eval mode uses the frozen running values.
@@ -356,12 +351,10 @@ class BatchNorm(Module):
 
     kind = "norm"
 
-    def __init__(self, channels, init, dims=2, eps=1e-5, momentum=0.1):
+    def __init__(self, channels, init, dims=2):
         super().__init__()
         self.channels = channels
         self.dims = dims
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = init.param((channels,), "ones")
         self.beta = init.param((channels,), "zeros")
         self.set_buffer("running_mean", np.zeros(channels, dtype=np.float64))
@@ -370,9 +363,8 @@ class BatchNorm(Module):
     def forward(self, x, ctx=EVAL_CTX):
         if ctx.training:
             axes = (0,) + tuple(range(2, 2 + self.dims))
-            y, mu, var = ag.batch_norm(x, self.gamma.tensor, self.beta.tensor,
-                                       axes, self.eps)
-            m = self.momentum
+            y, mu, var = ag.batch_norm(x, self.gamma.tensor, self.beta.tensor, axes, BN_EPS)
+            m = BN_MOMENTUM
             self.set_buffer("running_mean", (1 - m) * self.running_mean + m * mu)
             self.set_buffer("running_var", (1 - m) * self.running_var + m * var)
             return y
@@ -383,7 +375,7 @@ class BatchNorm(Module):
     def eval_affine(self, dtype):
         """The frozen statistics as flat (C,) tensors: in eval mode the
         output is ``x * scale + shift`` per channel."""
-        inv = (1.0 / np.sqrt(self.running_var + self.eps)).astype(dtype)
+        inv = (1.0 / np.sqrt(self.running_var + BN_EPS)).astype(dtype)
         scale = self.gamma.tensor * inv
         shift = self.beta.tensor - scale * self.running_mean.astype(dtype)
         return scale, shift
@@ -413,14 +405,13 @@ def conv_norm(conv, norm, x, ctx=EVAL_CTX):
 class LayerNormModule(Module):
     kind = "norm"
 
-    def __init__(self, dim, init, eps=1e-5):
+    def __init__(self, dim, init):
         super().__init__()
-        self.eps = eps
         self.gamma = init.param((dim,), "ones")
         self.beta = init.param((dim,), "zeros")
 
     def forward(self, x, ctx=EVAL_CTX):
-        return ag.layer_norm(x, self.gamma.tensor, self.beta.tensor, self.eps, axis=-1)
+        return ag.layer_norm(x, self.gamma.tensor, self.beta.tensor)
 
 
 class Dropout(Module):

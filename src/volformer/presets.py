@@ -35,7 +35,7 @@ def full_scale_config(family, views=None) -> ModelConfig:
     else:
         views = tuple(views or ("sag",))
     if family in VOLUMETRIC_FAMILIES:
-        encoder = EncoderSpec(in_channels=1)
+        encoder = EncoderSpec(in_channels=1, stem_pool=False)
         slice_count = {views[0]: FULL_VIEW_SPECS[views[0]][0]}
         slice_shape = {views[0]: FULL_VIEW_SPECS[views[0]][1]}
     else:

@@ -47,32 +47,24 @@ class TrainConfig:
         return self
 
 
-_clamp_warnings = 0
-
-
-def focal_clamp_count():
-    """How many times a zero class probability had to be clamped."""
-    return _clamp_warnings
+PROB_FLOOR = 1e-12  # focal_loss clamps a target probability below this
 
 
 def focal_loss(probs, targets, gamma=2.0):
     """Mean over the batch of -(1 - p_t)^gamma * log(p_t), uniform alpha.
 
     ``probs`` are already-normalized class probabilities (rows sum to 1);
-    gamma = 0 reduces exactly to cross-entropy. Zero probabilities are
-    clamped at 1e-12 and counted (see focal_clamp_count).
+    gamma = 0 reduces exactly to cross-entropy. Target probabilities below
+    ``PROB_FLOOR`` are clamped to it; ``train_fold`` counts them per epoch.
     """
-    global _clamp_warnings
     probs = probs if isinstance(probs, ag.Tensor) else ag.tensor(probs)
     targets = np.asarray(targets, dtype=np.intp)
     if probs.ndim != 2 or targets.shape != (probs.shape[0],):
         raise ConfigError(f"focal loss expects (B, C) probs with B targets, "
                           f"got {probs.shape} and {targets.shape}")
     p_t = probs[np.arange(len(targets)), targets]
-    n_clamped = int(np.sum(p_t.data < 1e-12))
-    if n_clamped:
-        _clamp_warnings += n_clamped
-        p_t = ag.clamp_min(p_t, 1e-12)
+    if np.any(p_t.data < PROB_FLOOR):
+        p_t = ag.clamp_min(p_t, PROB_FLOOR)
     nll = -ag.log(p_t)
     if gamma == 0.0:
         return nll.mean()
@@ -88,9 +80,11 @@ def lr_schedule(epoch, cfg: TrainConfig):
     return cfg.lr_main
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.t = 0
         self.m = {}
         self.v = {}
@@ -100,7 +94,7 @@ def adam_step(named_tensors, state: AdamState, lr, weight_decay=0.0):
     """One Adam update with decoupled weight decay (applied before the
     moment update as p <- p - lr * wd * p). Mutates tensor data in place."""
     state.t += 1
-    b1, b2, eps, t = state.beta1, state.beta2, state.eps, state.t
+    b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.t
     for name, tensor in named_tensors:
         g = tensor.grad
         if g is None:
@@ -163,6 +157,7 @@ class EpochStats:
     train_loss: float
     val_ap: float
     val_auc: float
+    focal_clamps: int  # target probabilities focal_loss clamped to PROB_FLOOR
 
 
 def _rng(seed, *key):
@@ -175,9 +170,6 @@ def _augment_batch(samples, views, rng, policy):
     out = {}
     for v in views:
         arr = samples[v]
-        if policy.is_identity:
-            out[v] = arr.astype(np.float32) / 255.0
-            continue
         stacked = np.empty_like(arr)
         for i in range(arr.shape[0]):
             stacked[i] = augment(arr[i], rng, policy)
@@ -185,13 +177,17 @@ def _augment_batch(samples, views, rng, policy):
     return out
 
 
-def predict_proba_batched(graph: ModelGraph, sample_set: SampleSet, batch_size=16):
-    """Eval-mode class probabilities over a whole sample set."""
+PREDICT_BATCH = 16
+
+
+def predict_proba_batched(graph: ModelGraph, sample_set: SampleSet):
+    """Eval-mode class probabilities over a whole sample set, ``PREDICT_BATCH``
+    samples per forward."""
     views = graph.config.views
     n = len(sample_set)
     probs = np.zeros((n, graph.config.num_classes), dtype=np.float64)
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
+    for start in range(0, n, PREDICT_BATCH):
+        sl = slice(start, min(start + PREDICT_BATCH, n))
         probs[sl] = graph.predict_proba(
             {v: sample_set.slices[v][sl].astype(np.float32) / 255.0 for v in views})
     return probs
@@ -230,6 +226,7 @@ def train_fold(model_cfg: ModelConfig, data: FoldData, fold_index, train_cfg: Tr
             epoch_idx = resample_balance(np.arange(len(train)), train.labels, resample_rng)
 
             losses = []
+            clamps = 0
             ctx = Ctx(training=True, rng=drop_rng)
             for start in range(0, len(epoch_idx), train_cfg.batch_size):
                 idx = epoch_idx[start:start + train_cfg.batch_size]
@@ -238,6 +235,7 @@ def train_fold(model_cfg: ModelConfig, data: FoldData, fold_index, train_cfg: Tr
                 logits = graph.forward(inputs, ctx)
                 probs = ag.softmax(logits, axis=-1)
                 loss = focal_loss(probs, batch.labels, train_cfg.focal_gamma)
+                clamps += int(np.sum(probs.data[np.arange(len(idx)), batch.labels] < PROB_FLOOR))
                 if not np.isfinite(loss.item()):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}")
                 for _, tensor in named:
@@ -247,7 +245,8 @@ def train_fold(model_cfg: ModelConfig, data: FoldData, fold_index, train_cfg: Tr
                 losses.append(loss.item())
 
             val_ap, val_auc = _validation_metrics(graph, val)
-            history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_ap, val_auc))
+            history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_ap, val_auc,
+                                      clamps))
             if snapshot is None or val_ap > snapshot.val_ap:
                 snapshot = Snapshot(epoch=epoch,
                                     state={k: v.copy() for k, v in graph.state_dict().items()},
@@ -260,6 +259,7 @@ def train_fold(model_cfg: ModelConfig, data: FoldData, fold_index, train_cfg: Tr
 
 def history_to_csv(history, path):
     with atomic_writer(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,lr,train_loss,val_ap,val_auc\n")
+        fh.write("epoch,lr,train_loss,val_ap,val_auc,focal_clamps\n")
         for h in history:
-            fh.write(f"{h.epoch},{h.lr!r},{h.train_loss!r},{h.val_ap!r},{h.val_auc!r}\n")
+            fh.write(f"{h.epoch},{h.lr!r},{h.train_loss!r},{h.val_ap!r},{h.val_auc!r},"
+                     f"{h.focal_clamps}\n")

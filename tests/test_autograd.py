@@ -526,6 +526,52 @@ class TestElementwiseOps:
 
         assert_grads_match(loss, [a, b])
 
+    @pytest.mark.parametrize("op", [ag.sub, ag.div, ag.mul])
+    @pytest.mark.parametrize("a_shape, b_shape", [((4, 3), (3,)), ((3,), (4, 3)),
+                                                  ((4, 1), (1, 3)), ((2, 1, 3), (4, 1))])
+    def test_broadcast_operand_grads(self, op, a_shape, b_shape):
+        rng = np.random.default_rng(10)
+        a = t64(rng.uniform(0.5, 2.0, size=a_shape))
+        b = t64(rng.uniform(0.5, 2.0, size=b_shape))
+        r = rng.normal(size=np.broadcast_shapes(a_shape, b_shape))
+        assert_grads_match(lambda: (op(a, b) * r).sum(), [a, b])
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)),
+                                                  ((2, 1, 3, 4), (3, 4, 2))])
+    def test_matmul_broadcast_batch_grads(self, a_shape, b_shape):
+        rng = np.random.default_rng(11)
+        a, b = t64(rng.normal(size=a_shape)), t64(rng.normal(size=b_shape))
+        r = rng.normal(size=ag.matmul(a, b).shape)
+        assert_grads_match(lambda: (ag.matmul(a, b) * r).sum(), [a, b])
+
+    @pytest.mark.parametrize("fn", [ag.tsum, ag.tmean])
+    @pytest.mark.parametrize("axis", [1, -1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_one_axis_reduction_grads(self, fn, axis, keepdims):
+        rng = np.random.default_rng(12)
+        a = t64(rng.normal(size=(2, 3, 4)))
+        r = rng.normal(size=fn(a, axis, keepdims).shape)
+        assert_grads_match(lambda: (fn(a, axis, keepdims) * r).sum(), [a])
+
+    def test_reshape_to_more_dims_grads(self):
+        rng = np.random.default_rng(13)
+        a = t64(rng.normal(size=(6, 4)))
+        r = rng.normal(size=(2, 3, 2, 2))
+        assert_grads_match(lambda: (ag.reshape(a, (2, 3, 2, 2)) * r).sum(), [a])
+
+    def test_transpose_explicit_axes_grads(self):
+        rng = np.random.default_rng(14)
+        a = t64(rng.normal(size=(2, 3, 4)))
+        r = rng.normal(size=(4, 2, 3))
+        assert_grads_match(lambda: (ag.transpose(a, (2, 0, 1)) * r).sum(), [a])
+
+    def test_concat_negative_axis_grads(self):
+        rng = np.random.default_rng(15)
+        a = t64(rng.normal(size=(2, 3, 2)))
+        b = t64(rng.normal(size=(2, 3, 4)))
+        r = rng.normal(size=(2, 3, 6))
+        assert_grads_match(lambda: (ag.concat([a, b], axis=-1) * r).sum(), [a, b])
+
     def test_no_grad_suppresses_graph(self):
         x = t64(np.ones(3))
         with ag.no_grad():
@@ -611,6 +657,15 @@ class TestDtype:
         for y in (x32 * 0.5, 2.0 - x32, x32 / np.float64(3.0), x32 + np.ones(3)):
             assert y.dtype == np.float32
         assert (t64(np.ones(3)) * np.float32(2.0)).dtype == np.float64
+
+    def test_scalar_float32_grad_reads_the_stored_output(self):
+        # a 0-d float32 input gives a float64 output tensor, and the gradient
+        # is computed from that stored value, not from a float32 scalar
+        x = ag.tensor(np.float32(-1.3), requires_grad=True)
+        y = ag.tanh(x)
+        ag.backward(y)
+        assert y.dtype == np.float64
+        assert x.grad == np.float32(1.0 - y.data * y.data)
 
     @pytest.mark.parametrize("preset", ["toy-2d-trf", "toy-2d-fc", "toy-conv3d",
                                         "toy-multiview-shared"])

@@ -14,6 +14,7 @@ import volformer
 from volformer import cli
 from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.cli import main
+from volformer.errors import DivergenceError
 from volformer.manifest import read_manifest, write_manifest
 from volformer.volume import Volume, load_volume, save_volume
 
@@ -238,6 +239,48 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and f"{path}: spacing" in err and "offset 19" in err
         assert not list(out.glob("*.vvol"))
 
+    def test_failed_preprocess_rerun_leaves_no_manifest(self, tmp_path):
+        vols = tmp_path / "volumes"
+        vols.mkdir()
+        for name in ("a.vvol", "b.vvol"):
+            save_volume(Volume(np.zeros((16, 16, 8), np.uint8), (0.73, 0.73, 1.4)), vols / name)
+        out = tmp_path / "cor"
+        args = ("preprocess", "--volumes", vols, "--out", out, "--view", "cor", "--crop", "16x16x8")
+        assert run(*args) == 0 and (out / "manifest_preprocess.json").exists()
+        raw = bytearray((vols / "b.vvol").read_bytes())
+        raw[19:23] = struct.pack("<f", float("nan"))
+        (vols / "b.vvol").write_bytes(bytes(raw))
+        assert run(*args) == 3
+        assert not (out / "manifest_preprocess.json").exists()
+
+    def test_failed_fold_leaves_no_manifest(self, tmp_path, cohort_dir, monkeypatch):
+        out = tmp_path / "run"
+        write_manifest(out, "train", config={}, inputs=[], outputs=[], seeds={})  # an earlier run
+        train_fold = cli.train_fold
+
+        def fold_1_diverges(model_cfg, data, fold_index, train_cfg):
+            if fold_index == 1:
+                raise DivergenceError("non-finite loss at epoch 0")
+            return train_fold(model_cfg, data, fold_index, train_cfg)
+
+        monkeypatch.setattr(cli, "train_fold", fold_1_diverges)
+        code = run("train", "--cohort", cohort_dir / "cohort.csv",
+                   "--volumes", cohort_dir / "volumes", "--out", out,
+                   "--model-preset", "toy-2d-fc", "--epochs", 1, "--warmup-epochs", 0,
+                   "--folds", 2, "--parallel-folds", 1)
+        assert code == 4
+        assert (out / "fold_0.vfwt").exists()
+        assert not (out / "manifest_train.json").exists()
+
+    @pytest.mark.parametrize("family", ["conv3d", "conv2plus1d"])
+    def test_volumetric_stem_pool_exits_2_with_one_line(self, tmp_path, capsys, family):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"family = {family}\nslice_count = 8\nslice_shape = 16x16\n"
+                       "encoder.stem_pool = true\n")
+        assert run("profile", "--config", cfg, "--out", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "encoder.stem_pool = false" in err
+
     def test_out_of_memory_exits_3_with_one_line(self, tmp_path, cohort_dir, monkeypatch,
                                                  capsys):
         from volformer import autograd
@@ -347,7 +390,7 @@ class TestTrainEvaluate:
         assert sorted(p.name for p in trained_dir.glob("fold_*.vfwt")) == [
             f"fold_{i}.vfwt" for i in range(4)]
         hist = (trained_dir / "history_fold_0.csv").read_text().splitlines()
-        assert hist[0] == "epoch,lr,train_loss,val_ap,val_auc"
+        assert hist[0] == "epoch,lr,train_loss,val_ap,val_auc,focal_clamps"
         assert len(hist) == 3  # header + 2 epochs
         manifest = read_manifest(trained_dir / "manifest_train.json")
         assert "model_config_text" in manifest["config"]

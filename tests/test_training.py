@@ -9,9 +9,10 @@ from volformer.training import (
     FoldData,
     SampleSet,
     TrainConfig,
+    PROB_FLOOR,
     adam_step,
-    focal_clamp_count,
     focal_loss,
+    history_to_csv,
     lr_schedule,
     train_fold,
 )
@@ -41,10 +42,12 @@ class TestFocalLoss:
         assert loss.item() == 0.0
 
     def test_zero_probability_clamped_and_counted(self):
-        before = focal_clamp_count()
-        loss = focal_loss(ag.tensor([[1.0, 0.0, 0.0]]), [2], gamma=2.0)
-        assert np.isfinite(loss.item())
-        assert focal_clamp_count() == before + 1
+        # the count is per epoch, in train_fold's history (TestTrainFold)
+        probs = ag.tensor([[1.0, 0.0, 0.0]], requires_grad=True)
+        loss = focal_loss(probs, [2], gamma=2.0)
+        assert loss.item() == pytest.approx((1.0 - PROB_FLOOR) ** 2 * -np.log(PROB_FLOOR))
+        ag.backward(loss)
+        np.testing.assert_array_equal(probs.grad, 0.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_through_softmax_matches_fd(self, seed):
@@ -182,6 +185,25 @@ class TestTrainFold:
         assert [h.epoch for h in history] == [0, 1, 2]
         assert history[0].lr == 1e-5
         assert all(np.isfinite(h.train_loss) for h in history)
+
+    def test_forced_zero_probability_is_counted_in_history(self, monkeypatch, tmp_path):
+        softmax = ag.softmax
+
+        def no_class_two(logits, axis=-1):
+            # training batches only: predict_proba runs without a graph
+            probs = softmax(logits, axis)
+            return probs * np.array([1.0, 1.0, 0.0], probs.dtype) if logits.requires_grad else probs
+
+        monkeypatch.setattr(ag, "softmax", no_class_two)
+        model_cfg = toy_config("2d_fc", slice_count=4, slice_shape=(16, 16))
+        _, history, _ = train_fold(model_cfg, tiny_fold_data(), 0, self._cfg(epochs=3))
+        # an epoch resamples each class to the majority count, 8 samples of class 2
+        assert [h.focal_clamps for h in history] == [8, 8, 8]
+        assert all(np.isfinite(h.train_loss) for h in history)
+        history_to_csv(history, tmp_path / "history.csv")
+        lines = (tmp_path / "history.csv").read_text().splitlines()
+        assert lines[0].endswith(",focal_clamps")
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["8", "8", "8"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_keeps_history(self):
