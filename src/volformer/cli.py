@@ -1,9 +1,16 @@
 """Command-line entry point: reproducible experiment commands over the
 synth / preprocess / label / split / train / evaluate / profile / curves
-workflow. Every command writes a manifest beside its outputs; exit codes are
-2 for configuration errors, 3 for data errors, dead fold workers and running
-out of memory, 4 for training divergence."""
+workflow, declared in one table, ``COMMANDS``, and run by one runner, ``main``.
 
+The runner reads every flag through its ``modelconfig`` Kind before the
+command runs, so a bad flag is one stderr line and makes no directory. A
+command calls ``run.output_dir`` just before its first write, which creates
+the directory and removes the old ``manifest_<command>.json``; on a clean
+return the runner writes the new manifest from the config, inputs, outputs
+and seeds the command declared, with the config fields that name a path flag
+under ``paths``, outside ``config_hash``. ``FAILURES`` maps errors to exit
+codes: 2 configuration errors; 3 data and OS errors, dead fold workers and
+running out of memory; 4 training divergence."""
 from __future__ import annotations
 
 import argparse
@@ -47,9 +54,11 @@ from .manifest import (
     write_manifest,
 )
 from .modelconfig import (
+    BOOL,
     DIMS,
     FLOAT,
     NONNEG_INT,
+    PATH,
     POS_INT,
     STR,
     format_model_config,
@@ -73,20 +82,14 @@ from .volume import (
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED = 0, 2, 3, 4
 
 
-def _hash_inputs_dir(directory):
-    """Input description for a volume directory: every ``.vvol`` file, so
-    the manifest hashes each volume's contents."""
-    return sorted(Path(directory).glob("*.vvol"))
-
-
 # ---------------------------------------------------------------------------
 # experiment config (train): flat key = value, flags win
 
 
 # key -> (kind, default); a key without a default is unset until given
 EXPERIMENT_KEYS = {
-    "cohort": (STR, None), "volumes": (STR, None), "out": (STR, None),
-    "model_config": (STR, None), "model_preset": (STR, None),
+    "cohort": (PATH, None), "volumes": (PATH, None), "out": (PATH, None),
+    "model_config": (PATH, None), "model_preset": (STR, None),
     "holdout_institution": (STR, "inst_d"), "folds": (POS_INT, 5), "seed": (NONNEG_INT, 0),
     "crop": (DIMS, (48, 48, 16)), "factors": (DIMS, (2, 2, 2)),
     "epochs": (POS_INT, 10), "warmup_epochs": (NONNEG_INT, 2), "batch_size": (POS_INT, 16),
@@ -98,15 +101,15 @@ EXPERIMENT_KEYS = {
 }
 
 
-def load_experiment_config(path=None, overrides=None):
-    """Defaults < config file < command-line flags, all read through the
-    key types. A model flag replaces both model keys of the file."""
+def load_experiment_config(path=None, flags=None):
+    """Defaults < config file < command-line flags. The file is read through
+    the key kinds; ``flags`` are already read, and None means not given. A
+    model flag replaces both model keys of the file."""
     merged = {k: default for k, (_, default) in EXPERIMENT_KEYS.items() if default is not None}
     if path:
         entries = read_config(read_text(path, "experiment config"), EXPERIMENT_KEYS, path)
         merged.update((k, value) for k, (value, _) in entries.items())
-    flags = {k: EXPERIMENT_KEYS[k][0].parse(str(v), "--" + k.replace("_", "-"))
-             for k, v in (overrides or {}).items() if v is not None}
+    flags = {k: v for k, v in (flags or {}).items() if v is not None}
     if flags.keys() & {"model_config", "model_preset"}:
         merged.pop("model_config", None)
         merged.pop("model_preset", None)
@@ -134,13 +137,6 @@ def _experiment_pieces(cfg):
     return model_cfg, train_cfg
 
 
-def _int_flags(args, **kinds):
-    """Read the named integer flags of ``args`` in place through their key
-    types, so an out-of-range value is a configuration error."""
-    for name, kind in kinds.items():
-        setattr(args, name, kind.parse(str(getattr(args, name)), "--" + name.replace("_", "-")))
-
-
 def _load_labelled(cohort_path, volumes_dir=None):
     records = read_cohort_csv(cohort_path)
     volume_ids = None
@@ -155,53 +151,38 @@ def _load_labelled(cohort_path, volumes_dir=None):
 # commands
 
 
-def cmd_synth(args):
-    _int_flags(args, subjects=POS_INT, seed=NONNEG_INT)
-    out = Path(args.out)
+def cmd_synth(args, run):
+    spec = SynthSpec(dims=args.dims) if args.dims else SynthSpec()
+    out = run.output_dir(args.out)
     vol_dir = out / "volumes"
-    vol_dir.mkdir(parents=True, exist_ok=True)
-    clear_manifest(out, "synth")
-    spec = SynthSpec(dims=DIMS.parse(args.dims, "--dims")) if args.dims else SynthSpec()
     records, _ = synth_generate(args.subjects, args.seed, spec=spec, out_dir=vol_dir)
     cohort_path = out / "cohort.csv"
     write_cohort_csv(records, cohort_path)
-    outputs = [cohort_path] + sorted(vol_dir.glob("*.vvol"))
-    write_manifest(out, "synth",
-                   config={"subjects": args.subjects, "dims": list(spec.dims)},
-                   inputs=[], outputs=outputs, seeds={"seed": args.seed})
+    run.config = {"subjects": args.subjects, "dims": list(spec.dims)}
+    run.outputs = [cohort_path] + sorted(vol_dir.glob("*.vvol"))
+    run.seeds = {"seed": args.seed}
     print(f"synth: {len(records)} knees -> {out}")
-    return EXIT_OK
 
 
-def cmd_preprocess(args):
-    crop = DIMS.parse(args.crop, "--crop")
-    factors = DIMS.parse(args.factors, "--factors")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_preprocess(args, run):
     files = sorted(Path(args.volumes).glob("*.vvol"))
     if not files:
         raise DataError(f"no .vvol volumes found in {args.volumes}")
-    clear_manifest(out, "preprocess")
-    outputs = []
+    out = run.output_dir(args.out)
     for path in files:
-        vol = preprocess(load_volume(path), crop, factors)
+        vol = preprocess(load_volume(path), args.crop, args.factors)
         if args.view != "sag":
             vol = reproject(vol, args.view)
-        dest = out / path.name
-        save_volume(vol, dest)
-        outputs.append(dest)
-    write_manifest(out, "preprocess",
-                   config={"crop": list(crop), "factors": list(factors), "view": args.view},
-                   inputs=_hash_inputs_dir(args.volumes), outputs=outputs, seeds={})
-    print(f"preprocess: {len(outputs)} volumes -> {out}")
-    return EXIT_OK
+        save_volume(vol, out / path.name)
+        run.outputs.append(out / path.name)
+    run.config = {"crop": list(args.crop), "factors": list(args.factors), "view": args.view}
+    run.inputs = [args.volumes]
+    print(f"preprocess: {len(run.outputs)} volumes -> {out}")
 
 
-def cmd_label(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_label(args, run):
     kept, excluded = _load_labelled(args.cohort)
-    clear_manifest(out, "label")
+    out = run.output_dir(args.out)
     labels_path = out / "labels.csv"
     with atomic_writer(labels_path, "w", encoding="utf-8") as fh:
         fh.write("knee_id,class,class_name,event_month,rule_trace\n")
@@ -214,27 +195,20 @@ def cmd_label(args):
         fh.write("knee_id,reason\n")
         for record, reason in excluded:
             fh.write(f"{record.knee_id},{reason}\n")
-    write_manifest(out, "label", config={},
-                   inputs=[args.cohort], outputs=[labels_path, excl_path], seeds={})
+    run.inputs, run.outputs = [args.cohort], [labels_path, excl_path]
     print(f"label: {len(kept)} labelled, {len(excluded)} excluded -> {out}")
-    return EXIT_OK
 
 
-def cmd_split(args):
-    _int_flags(args, folds=POS_INT, seed=NONNEG_INT)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_split(args, run):
     kept, _ = _load_labelled(args.cohort)
     splits = split_dataset(kept, args.holdout, n_folds=args.folds, seed=args.seed)
-    clear_manifest(out, "split")
+    out = run.output_dir(args.out)
     splits_path = out / "splits.json"
     write_json(splits_path, splits.to_dict())
-    write_manifest(out, "split",
-                   config={"holdout_institution": args.holdout, "folds": args.folds},
-                   inputs=[args.cohort], outputs=[splits_path], seeds={"seed": args.seed})
+    run.config = {"holdout_institution": args.holdout, "folds": args.folds}
+    run.inputs, run.outputs, run.seeds = [args.cohort], [splits_path], {"seed": args.seed}
     print(f"split: eval {len(splits.eval_ids)} knees, folds "
           f"{[len(f) for f in splits.folds]} -> {out}")
-    return EXIT_OK
 
 
 def _train_one_fold(packed):
@@ -259,19 +233,11 @@ def _thread_cap():
     return int(raw)
 
 
-def cmd_train(args):
-    overrides = {
-        "cohort": args.cohort, "volumes": args.volumes, "out": args.out,
-        "model_config": args.model_config, "model_preset": args.model_preset,
-        "holdout_institution": args.holdout, "folds": args.folds, "seed": args.seed,
-        "epochs": args.epochs, "warmup_epochs": args.warmup_epochs,
-        "parallel_folds": args.parallel_folds,
-    }
-    cfg = load_experiment_config(args.config, overrides)
+def cmd_train(args, run):
+    cfg = load_experiment_config(args.config, {k: v for k, v in vars(args).items()
+                                               if k in EXPERIMENT_KEYS})
     model_cfg, train_cfg = _experiment_pieces(cfg)
     thread_cap = _thread_cap()
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
 
     kept, excluded = _load_labelled(cfg["cohort"], cfg["volumes"])
     splits = split_dataset(kept, cfg["holdout_institution"],
@@ -284,11 +250,10 @@ def cmd_train(args):
     index_of = {kid: i for i, kid in enumerate(samples.knee_ids)}
 
     fold_indices = range(cfg["folds"]) if args.fold is None else [args.fold]
-    if args.fold is not None and not 0 <= args.fold < cfg["folds"]:
+    if args.fold is not None and args.fold >= cfg["folds"]:
         raise ConfigError(f"--fold {args.fold} outside 0..{cfg['folds'] - 1}")
 
-    command = "train" if args.fold is None else f"train_fold{args.fold}"
-    clear_manifest(out, command)
+    out = run.output_dir(cfg["out"], "train" if args.fold is None else f"train_fold{args.fold}")
     jobs = []
     for fold_index in fold_indices:
         train_ids, val_ids = splits.fold_train_val(fold_index)
@@ -321,26 +286,19 @@ def cmd_train(args):
     else:
         results = [_train_one_fold(job) for job in jobs]
 
-    outputs = []
     summary = {}
     for fold_index, epoch, val_ap, ckpt, hist in sorted(results):
-        outputs += [ckpt, hist]
+        run.outputs += [ckpt, hist]
         summary[f"fold_{fold_index}"] = {"snapshot_epoch": epoch, "val_ap": val_ap}
         print(f"fold {fold_index}: snapshot epoch {epoch}, val AP {val_ap:.3f}")
-    manifest_cfg = {k: cfg[k] for k in sorted(cfg) if k != "seed"}
-    manifest_cfg["model_config_text"] = format_model_config(model_cfg)
-    manifest_cfg["excluded"] = len(excluded)
-    manifest_cfg["fold_summary"] = summary
-    write_manifest(out, command, config=manifest_cfg,
-                   inputs=[cfg["cohort"]] + _hash_inputs_dir(cfg["volumes"]),
-                   outputs=outputs, seeds={"seed": cfg["seed"]})
-    return EXIT_OK
+    run.config = {k: cfg[k] for k in sorted(cfg) if k != "seed"}
+    run.config["model_config_text"] = format_model_config(model_cfg)
+    run.config["excluded"] = len(excluded)
+    run.config["fold_summary"] = summary
+    run.inputs, run.seeds = [cfg["cohort"], cfg["volumes"]], {"seed": cfg["seed"]}
 
 
-def cmd_evaluate(args):
-    _int_flags(args, n_boot=POS_INT, seed=NONNEG_INT)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_evaluate(args, run):
     snap_dir = Path(args.snapshots)
     manifests = sorted(snap_dir.glob("manifest_train*.json"))
     if not manifests:
@@ -350,7 +308,8 @@ def cmd_evaluate(args):
     model_cfg = parse_model_config(tcfg["model_config_text"],
                                    f"{manifests[0]} model_config_text")
     crop, factors = tuple(tcfg["crop"]), tuple(tcfg["factors"])
-    volumes_dir = args.volumes or tcfg["volumes"]
+    # manifests written before ``paths`` existed keep the volumes in their config
+    volumes_dir = args.volumes or train_manifest.get("paths", tcfg)["volumes"]
     holdout = tcfg["holdout_institution"]
 
     kept, _ = _load_labelled(args.cohort, volumes_dir)
@@ -386,9 +345,10 @@ def cmd_evaluate(args):
     # basenames keep report bytes independent of where the run directory
     # lives; manifest hashes are volatile and belong in the manifest chain
     report.metadata["snapshots"] = [c.name for c in ckpts]
-    train_manifest_hashes = {m.name: file_sha256(m) for m in manifests}
+    run.config = {"snapshots": str(snap_dir), "n_boot": args.n_boot,
+                  "train_manifests": {m.name: file_sha256(m) for m in manifests}}
 
-    clear_manifest(out, "evaluate")
+    out = run.output_dir(args.out)
     report_path = out / "report.json"
     write_json(report_path, report.to_dict())
     pred_path = out / "predictions.csv"
@@ -396,19 +356,13 @@ def cmd_evaluate(args):
         fh.write("knee_id,label,p_none,p_slow,p_fast\n")
         for kid, label, p in zip(pred.knee_ids, pred.labels, pred.probs):
             fh.write(f"{kid},{label},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
-    curve_paths = export_curves(pred, out)
-
-    write_manifest(out, "evaluate",
-                   config={"snapshots": str(snap_dir), "n_boot": args.n_boot,
-                           "train_manifests": train_manifest_hashes},
-                   inputs=[args.cohort] + [(str(c), c) for c in ckpts],
-                   outputs=[report_path, pred_path] + list(curve_paths.values()),
-                   seeds={"seed": args.seed})
+    run.inputs = [args.cohort] + ckpts
+    run.outputs = [report_path, pred_path] + list(export_curves(pred, out).values())
+    run.seeds = {"seed": args.seed}
     print(f"evaluate: AP {report.ap:.3f} +/- {report.ap_std:.3f}, "
           f"ROC AUC {report.roc_auc:.3f} +/- {report.roc_auc_std:.3f}, "
           f"bacc {report.balanced_accuracy:.3f} (n={report.n_knees}, "
           f"prevalence {report.prevalence:.3f})")
-    return EXIT_OK
 
 
 def _profile_input(raw, model_cfg):
@@ -433,7 +387,7 @@ def _profile_input(raw, model_cfg):
     return spec
 
 
-def cmd_profile(args):
+def cmd_profile(args, run):
     if args.preset:
         model_cfg = preset_config(args.preset)
     elif args.config:
@@ -449,20 +403,16 @@ def cmd_profile(args):
     if args.time:
         payload["timing"] = time_inference(graph, input_spec).to_dict()
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    clear_manifest(out.parent, "profile")
+    run.output_dir(out.parent)
     write_json(out, payload)
-    write_manifest(out.parent, "profile",
-                   config={"preset": args.preset, "config": args.config,
-                           "input": args.input, "timed": bool(args.time)},
-                   inputs=[args.config] if args.config else [],
-                   outputs=[out], seeds={})
+    run.config = {"preset": args.preset, "config": args.config,
+                  "input": args.input, "timed": args.time}
+    run.inputs, run.outputs = [args.config] if args.config else [], [out]
     print(f"profile: {payload['total_macs'] / 1e9:.2f} GMACs, "
           f"{payload['total_params'] / 1e6:.2f} M params -> {out}")
-    return EXIT_OK
 
 
-def cmd_curves(args):
+def cmd_curves(args, run):
     rows = []
     with open(args.predictions, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -482,16 +432,118 @@ def cmd_curves(args):
     pred = PredictionSet(knee_ids=[r[0] for r in rows],
                          probs=np.array([r[2] for r in rows]),
                          labels=np.array([r[1] for r in rows]))
-    clear_manifest(args.out, "curves")
-    paths = export_curves(pred, args.out)
-    write_manifest(args.out, "curves", config={},
-                   inputs=[args.predictions],
-                   outputs=list(paths.values()), seeds={})
+    paths = export_curves(pred, run.output_dir(args.out))
+    run.inputs, run.outputs = [args.predictions], list(paths.values())
     print(f"curves: {', '.join(str(p) for p in paths.values())}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+# the command table and its runner
+
+
+class Run:
+    """What a command declares for its manifest: ``output_dir`` just before
+    its first write, and ``config``, ``inputs``, ``outputs`` and ``seeds`` by
+    the time it returns."""
+
+    def __init__(self, command):
+        self.command, self.out = command, None
+        self.config, self.inputs, self.outputs, self.seeds = {}, [], [], {}
+
+    def output_dir(self, out, command=None):
+        """Create ``out`` and remove its old ``manifest_<command>.json``;
+        ``command`` renames the manifest."""
+        self.command = command or self.command
+        self.out = Path(out)
+        self.out.mkdir(parents=True, exist_ok=True)
+        clear_manifest(self.out, self.command)
+        return self.out
+
+
+class Flag:
+    """A command-line flag: the runner reads its text through ``kind`` into
+    ``args.<key>`` before the command runs; ``parser`` holds the rest of its
+    argparse settings."""
+
+    def __init__(self, name, kind=STR, key=None, **parser):
+        self.name, self.kind, self.parser = name, kind, parser
+        self.key = key or name[2:].replace("-", "_")
+
+
+def _exp(name, key=None, **parser):
+    """A ``train`` flag for an experiment key, read through that key's kind."""
+    flag = Flag(name, key=key, **parser)
+    flag.kind = EXPERIMENT_KEYS[flag.key][0]
+    return flag
+
+
+# name -> (help, function, flags)
+COMMANDS = {
+    "synth": ("generate a synthetic cohort with planted signal", cmd_synth, (
+        Flag("--subjects", POS_INT, required=True),
+        Flag("--seed", NONNEG_INT, default=0),
+        Flag("--out", PATH, required=True),
+        Flag("--dims", DIMS, help="volume dims D0xD1xD2 (default 64x64x32)"),
+    )),
+    "preprocess": ("crop, quantize and downsample volumes", cmd_preprocess, (
+        Flag("--volumes", PATH, required=True),
+        Flag("--out", PATH, required=True),
+        Flag("--crop", DIMS, default="320x320x128"),
+        Flag("--factors", DIMS, default="2,2,2"),
+        Flag("--view", default="sag", choices=("sag", "cor", "ax")),
+    )),
+    "label": ("derive progression labels and exclusions", cmd_label, (
+        Flag("--cohort", PATH, required=True),
+        Flag("--out", PATH, required=True),
+    )),
+    "split": ("hold-out institution + stratified folds", cmd_split, (
+        Flag("--cohort", PATH, required=True),
+        Flag("--holdout", required=True),
+        Flag("--folds", POS_INT, default=5),
+        Flag("--seed", NONNEG_INT, default=0),
+        Flag("--out", PATH, required=True),
+    )),
+    "train": ("train cross-validation folds", cmd_train, (
+        Flag("--config", PATH, help="experiment config file (flags override)"),
+        _exp("--cohort"), _exp("--volumes"), _exp("--out"),
+        _exp("--model-config"), _exp("--model-preset"),
+        _exp("--holdout", "holdout_institution", metavar="HOLDOUT"),
+        _exp("--folds"),
+        Flag("--fold", NONNEG_INT, help="train a single fold"),
+        _exp("--seed"), _exp("--epochs"), _exp("--warmup-epochs"), _exp("--parallel-folds"),
+    )),
+    "evaluate": ("ensemble the fold snapshots on the hold-out", cmd_evaluate, (
+        Flag("--snapshots", PATH, required=True),
+        Flag("--cohort", PATH, required=True),
+        Flag("--out", PATH, required=True),
+        Flag("--volumes", PATH, help="override the volumes dir from the train manifest"),
+        Flag("--n-boot", POS_INT, default=1000),
+        Flag("--seed", NONNEG_INT, default=0),
+    )),
+    "profile": ("analytic MACs / parameter report", cmd_profile, (
+        Flag("--config", PATH, help="model config file"),
+        Flag("--preset", help="named preset (e.g. full-2d-trf)"),
+        Flag("--input", help="override input spec: KxHxW for every view, "
+                             "or view=KxHxW,... per view"),
+        Flag("--out", PATH, default="report.json"),
+        Flag("--time", BOOL, action="store_true", help="also time single-sample inference"),
+    )),
+    "curves": ("export ROC/PR/confusion CSVs from predictions", cmd_curves, (
+        Flag("--predictions", PATH, required=True),
+        Flag("--out", PATH, required=True),
+    )),
+}
+
+# (exception type, exit code, stderr label): the first row that matches wins
+FAILURES = (
+    (ConfigError, EXIT_CONFIG, "configuration error"),
+    (DivergenceError, EXIT_DIVERGED, "training diverged"),
+    (DataError, EXIT_DATA, "data error"),
+    (FileNotFoundError, EXIT_DATA, "data error"),
+    (VolformerError, EXIT_DATA, "error"),
+    (MemoryError, EXIT_DATA, "out of memory"),
+    (OSError, EXIT_DATA, "I/O error"),
+)
 
 
 def build_parser():
@@ -500,96 +552,33 @@ def build_parser():
         description="Slice-wise CNN + transformer toolkit for knee-OA progression prediction")
     parser.add_argument("--version", action="version", version=f"volformer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic cohort with planted signal")
-    p.add_argument("--subjects", required=True)
-    p.add_argument("--seed", default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dims", help="volume dims D0xD1xD2 (default 64x64x32)")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("preprocess", help="crop, quantize and downsample volumes")
-    p.add_argument("--volumes", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--crop", default="320x320x128")
-    p.add_argument("--factors", default="2,2,2")
-    p.add_argument("--view", default="sag", choices=("sag", "cor", "ax"))
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("label", help="derive progression labels and exclusions")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_label)
-
-    p = sub.add_parser("split", help="hold-out institution + stratified folds")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--holdout", required=True)
-    p.add_argument("--folds", default=5)
-    p.add_argument("--seed", default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("train", help="train cross-validation folds")
-    p.add_argument("--config", help="experiment config file (flags override)")
-    p.add_argument("--cohort")
-    p.add_argument("--volumes")
-    p.add_argument("--out")
-    p.add_argument("--model-config", dest="model_config")
-    p.add_argument("--model-preset", dest="model_preset")
-    p.add_argument("--holdout", dest="holdout")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--fold", type=int, help="train a single fold")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-    p.add_argument("--parallel-folds", dest="parallel_folds", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="ensemble the fold snapshots on the hold-out")
-    p.add_argument("--snapshots", required=True)
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--volumes", help="override the volumes dir from the train manifest")
-    p.add_argument("--n-boot", dest="n_boot", default=1000)
-    p.add_argument("--seed", default=0)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("profile", help="analytic MACs / parameter report")
-    p.add_argument("--config", help="model config file")
-    p.add_argument("--preset", help="named preset (e.g. full-2d-trf)")
-    p.add_argument("--input", help="override input spec: KxHxW for every view, "
-                                   "or view=KxHxW,... per view")
-    p.add_argument("--out", default="report.json")
-    p.add_argument("--time", action="store_true", help="also time single-sample inference")
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("curves", help="export ROC/PR/confusion CSVs from predictions")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_curves)
+    for name, (help_text, _, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag.name, dest=flag.key, **flag.parser)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, func, flags = COMMANDS[args.command]
+    run = Run(args.command)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"volformer: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"volformer: training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (DataError, FileNotFoundError) as exc:
-        print(f"volformer: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except VolformerError as exc:
-        print(f"volformer: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except MemoryError as exc:
-        print(f"volformer: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
-        return EXIT_DATA
+        for flag in flags:
+            value = getattr(args, flag.key)
+            if value is not None:
+                setattr(args, flag.key, flag.kind.parse(str(value), flag.name))
+        func(args, run)
+        path_keys = {flag.key for flag in flags if flag.kind is PATH}
+        paths = {k: run.config.pop(k) for k in path_keys & run.config.keys()}
+        write_manifest(run.out, run.command, run.config, run.inputs, run.outputs, run.seeds,
+                       paths)
+    except tuple(row[0] for row in FAILURES) as exc:
+        code, label = next((code, label) for kind, code, label in FAILURES
+                           if isinstance(exc, kind))
+        print(f"volformer: {label}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

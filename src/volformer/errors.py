@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-DivergenceError -> 4. It maps MemoryError, a dead fold worker and any other
-VolformerError to 3 as well, each with one stderr line.
+The CLI maps these onto exit codes (``cli.FAILURES``): ConfigError -> 2,
+DataError -> 3, DivergenceError -> 4. It maps MemoryError, an OSError (an
+output path under a regular file, a full disk), a dead fold worker and any
+other VolformerError to 3 as well, each with one stderr line.
 """
 
 

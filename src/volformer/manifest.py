@@ -51,28 +51,31 @@ def config_hash(config: dict) -> str:
 
 
 def clear_manifest(out_dir, command):
-    """Remove ``manifest_<command>.json`` from ``out_dir``. A command calls
-    this before it writes its first output, so a run that fails part way
-    never leaves new outputs beside an old manifest."""
+    """Remove ``manifest_<command>.json`` from ``out_dir``. The CLI runner
+    calls this before a command's first output, so a run that fails part
+    way never leaves new outputs beside an old manifest."""
     (Path(out_dir) / f"manifest_{command}.json").unlink(missing_ok=True)
 
 
-def write_manifest(out_dir, command, config, inputs, outputs, seeds):
+def write_manifest(out_dir, command, config, inputs, outputs, seeds, paths=None):
     """Write manifest_<command>.json into out_dir and return its path.
 
-    ``inputs`` may contain paths (hashed) or (name, path) pairs.
+    Each of ``inputs`` is hashed; a directory stands for every ``.vvol``
+    file it holds. ``paths`` records where the run's files were: it sits
+    outside ``config``, so ``config_hash`` does not depend on it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     input_hashes = {}
     for item in inputs:
-        name, path = item if isinstance(item, tuple) else (str(item), item)
-        input_hashes[str(name)] = file_sha256(path) if Path(path).is_file() else None
+        for path in sorted(Path(item).glob("*.vvol")) if Path(item).is_dir() else [item]:
+            input_hashes[str(path)] = file_sha256(path) if Path(path).is_file() else None
     payload = {
         "command": command,
         "version": __version__,
         "config": config,
         "config_hash": config_hash(config),
+        "paths": paths or {},
         "inputs": input_hashes,
         "outputs": sorted(str(o) for o in outputs),
         "seeds": seeds,

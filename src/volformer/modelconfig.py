@@ -70,6 +70,7 @@ INT_LIST = Kind("comma-separated positive integers", _checked(_ints, lambda v: m
 DIMS = _dims(3)
 SHAPE = _dims(2)
 STR = Kind("a string", str)
+PATH = Kind("a path", str)  # a location, kept out of a manifest's config_hash
 NAMES = Kind("comma-separated names",
              lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()), ",".join)
 

@@ -10,6 +10,7 @@ the label-derivation rules and are verified against them before emission.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,7 +122,7 @@ def synth_generate(n_subjects, seed, spec: SynthSpec = None, out_dir=None,
 
     Returns (records, volumes) where volumes maps knee id -> Volume. When
     ``out_dir`` is given, volumes are written there as ``<knee_id>.vvol``
-    instead of being kept in memory; ``with_volumes=False`` skips phantom
+    (the directory is created if needed) instead of being kept in memory; ``with_volumes=False`` skips phantom
     synthesis entirely (records only).
     """
     if n_subjects < 1:
@@ -130,6 +131,8 @@ def synth_generate(n_subjects, seed, spec: SynthSpec = None, out_dir=None,
     classes = sorted(spec.class_probs)
     probs = [spec.class_probs[c] for c in classes]
 
+    if out_dir is not None and with_volumes:
+        os.makedirs(out_dir, exist_ok=True)
     records, volumes = [], {}
     for i in range(n_subjects):
         subject_id = f"S{i:05d}"

@@ -601,6 +601,7 @@ _VALUES = {
     mc.DIMS: st.tuples(*[st.integers(1, 10**4)] * 3),
     mc.SHAPE: st.tuples(*[st.integers(1, 10**4)] * 2),
     mc.STR: st.text(_NAME + " =,", max_size=20).map(str.strip),
+    mc.PATH: st.text(_NAME, max_size=20),
     mc.NAMES: st.lists(st.text(_NAME, min_size=1, max_size=8), min_size=1, max_size=3).map(tuple),
 }
 

@@ -1,0 +1,46 @@
+"""The output comparison of ``bench/same_bytes.py``."""
+
+import importlib.util
+from pathlib import Path
+
+from volformer import cli
+from volformer.manifest import write_manifest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_same_bytes", ROOT / "bench" / "same_bytes.py")
+same_bytes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_bytes)
+
+
+def fake_run(work, config, paths=None, report=b"{}\n"):
+    """A train-like run under ``work``: one output and its manifest."""
+    (work / "run").mkdir(parents=True)
+    (work / "run" / "report.json").write_bytes(report)
+    (work / "data").mkdir()
+    (work / "data" / "cohort.csv").write_text("knee_id\n")
+    write_manifest(work / "run", "train", config=config, paths=paths,
+                   inputs=[work / "data" / "cohort.csv"], outputs=[work / "run" / "report.json"],
+                   seeds={"seed": 3})
+    return same_bytes.snapshot(work)
+
+
+def test_the_sequence_runs_every_command():
+    assert {step[0] for step in same_bytes.STEPS} | {"profile"} == set(cli.COMMANDS)
+
+
+def test_manifests_compare_without_wall_clock_hash_or_path_placement(tmp_path):
+    parent = fake_run(tmp_path / "p", {"epochs": 2, "volumes": str(tmp_path / "p" / "data")})
+    change = fake_run(tmp_path / "c", {"epochs": 2}, paths={"volumes": str(tmp_path / "c" / "data")})
+    assert sorted(change) == ["data/cohort.csv", "run/manifest_train.json", "run/report.json"]
+    assert change["run/manifest_train.json"]["inputs"] == {
+        "data/cohort.csv": parent["run/manifest_train.json"]["inputs"]["data/cohort.csv"]}
+    assert same_bytes.differences(parent, change) == []
+
+
+def test_reports_a_changed_output_a_changed_config_and_a_missing_file(tmp_path):
+    parent = fake_run(tmp_path / "p", {"epochs": 2})
+    fake_run(tmp_path / "c", {"epochs": 3}, report=b"{ }\n")
+    (tmp_path / "c" / "run" / "extra.csv").write_text("x\n")
+    assert same_bytes.differences(parent, same_bytes.snapshot(tmp_path / "c")) == [
+        "run/extra.csv: only in change", "run/manifest_train.json: differs",
+        "run/report.json: differs"]

@@ -152,6 +152,9 @@ class TestErrorPaths:
         ("synth", "--seed", -1), ("synth", "--subjects", 0), ("synth", "--subjects", "abc"),
         ("split", "--seed", -1), ("split", "--folds", "two"),
         ("evaluate", "--seed", -1), ("evaluate", "--n-boot", 0),
+        ("train", "--folds", "two"), ("train", "--fold", "one"), ("train", "--fold", -1),
+        ("train", "--seed", "x"), ("train", "--epochs", "2.5"),
+        ("train", "--warmup-epochs", "none"), ("train", "--parallel-folds", "all"),
     ])
     def test_bad_integer_flag_exits_2_with_one_line(self, tmp_path, cohort_dir, capsys,
                                                      command, flag, value):
@@ -159,11 +162,22 @@ class TestErrorPaths:
         cohort = cohort_dir / "cohort.csv"
         base = {"synth": ["--subjects", 4],
                 "split": ["--cohort", cohort, "--holdout", "inst_d"],
-                "evaluate": ["--snapshots", tmp_path, "--cohort", cohort]}[command]
+                "evaluate": ["--snapshots", tmp_path, "--cohort", cohort],
+                "train": ["--cohort", cohort, "--volumes", cohort_dir / "volumes",
+                          "--model-preset", "toy-2d-trf"]}[command]
         assert run(command, *base, "--out", out, flag, value) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{flag} expects" in err
         assert not out.exists()
+
+    def test_output_under_a_regular_file_exits_3_with_one_line(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert run("synth", "--subjects", 2, "--dims", "16x16x8", "--out", blocker / "sub") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("volformer: I/O error: ") and err.count("\n") == 1
+        assert "Not a directory" in err and "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
 
     def test_unreadable_experiment_config_exits_2(self, tmp_path, capsys):
         code = run("train", "--config", tmp_path / "absent.cfg", "--out", tmp_path / "run",
@@ -307,8 +321,7 @@ def test_volume_contents_hashed_past_256_files(tmp_path):
 
     def inputs():
         return read_manifest(write_manifest(tmp_path / "m", "preprocess", config={},
-                                            inputs=cli._hash_inputs_dir(vols),
-                                            outputs=[], seeds={}))["inputs"]
+                                            inputs=[vols], outputs=[], seeds={}))["inputs"]
 
     before = inputs()
     assert len(before) == 257 and all(before.values())
@@ -410,6 +423,22 @@ class TestTrainEvaluate:
         assert (out / "fold_1.vfwt").exists()
         assert not (tmp_path / "from_file").exists()
 
+    def test_config_hash_leaves_out_where_the_run_lives(self, tmp_path, cohort_dir):
+        manifests = []
+        for place in ("a", "b/deeper"):
+            data = tmp_path / place / "data"
+            shutil.copytree(cohort_dir, data)
+            out = tmp_path / place / "run"
+            assert run("train", "--cohort", data / "cohort.csv", "--volumes", data / "volumes",
+                       "--out", out, "--model-preset", "toy-2d-fc", "--epochs", 1,
+                       "--warmup-epochs", 0, "--folds", 2, "--fold", 0) == 0
+            manifests.append(read_manifest(out / "manifest_train_fold0.json"))
+        a, b = manifests
+        assert a["config"] == b["config"] and a["config_hash"] == b["config_hash"]
+        assert not a["config"].keys() & {"cohort", "volumes", "out"}
+        assert a["paths"]["out"] == str(tmp_path / "a" / "run")
+        assert b["paths"]["volumes"] == str(tmp_path / "b" / "deeper" / "data" / "volumes")
+
     def test_single_fold_flag(self, tmp_path, cohort_dir):
         out = tmp_path / "one_fold"
         code = run("train", "--cohort", cohort_dir / "cohort.csv",
@@ -436,6 +465,16 @@ class TestTrainEvaluate:
         assert recorded == file_sha256(trained_dir / "manifest_train.json")
         for fname in ("predictions.csv", "roc.csv", "pr.csv", "confusion.csv"):
             assert (out / fname).exists()
+
+    def test_evaluate_reads_volumes_of_a_manifest_without_paths(self, tmp_path, cohort_dir,
+                                                               trained_dir):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        manifest = read_manifest(run_dir / "manifest_train.json")
+        manifest["config"].update(manifest.pop("paths"))  # the layout of earlier versions
+        (run_dir / "manifest_train.json").write_text(json.dumps(manifest))
+        assert run("evaluate", "--snapshots", run_dir, "--cohort", cohort_dir / "cohort.csv",
+                   "--out", tmp_path / "eval", "--n-boot", 100) == 0
 
     def test_evaluate_ignores_stray_checkpoints(self, tmp_path, cohort_dir, trained_dir):
         run_dir = tmp_path / "run"

@@ -1,6 +1,7 @@
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +243,14 @@ def write_cohort(out, seed):
     return [out / "cohort.csv"]
 
 
+def write_predictions(path):
+    rng = np.random.default_rng(3)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("knee_id,label,p_none,p_slow,p_fast\n")
+        for i, p in enumerate(rng.dirichlet(np.ones(3), 12)):
+            fh.write(f"k{i},{i % 3},{','.join(map(str, p.tolist()))}\n")
+
+
 def write_checkpoint(out, seed):
     rng = np.random.default_rng(seed)
     save_checkpoint(out / "fold_0.vfwt", {"w": rng.random((2, 3)), "b": rng.random(3)})
@@ -252,12 +261,14 @@ class TestAtomicWrites:
     @pytest.fixture
     def fail_writes(self, monkeypatch):
         """Calling it makes every later ``atomic_writer`` file fail mid-write;
-        returns the list of paths opened since."""
+        returns the list of paths opened for writing since."""
         opened = []
 
-        def fake_open(path, *args, **kwargs):
+        def fake_open(path, mode="r", *args, **kwargs):
+            if "r" in mode:  # reads, such as a file hashed for a manifest
+                return open(path, mode, *args, **kwargs)
             opened.append(path)
-            return _FailingFile(open(path, *args, **kwargs))
+            return _FailingFile(open(path, mode, *args, **kwargs))
 
         def arm():
             monkeypatch.setattr(manifest, "open", fake_open, raising=False)
@@ -290,25 +301,40 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("argv,name", [
+        (["synth", "--subjects", "8", "--dims", "16x16x8"], "volumes/S00000_L.vvol"),
         (["label"], "labels.csv"),
         (["split", "--holdout", "inst_a"], "splits.json"),
+        (["evaluate", "--n-boot", "100"], "report.json"),
+        (["curves"], "roc.csv"),
         (["profile", "--preset", "toy-2d-trf"], "report.json"),
-    ], ids=["label", "split", "profile"])
+    ], ids=["synth", "label", "split", "evaluate", "curves", "profile"])
     def test_cli_output_failure_keeps_old_file(self, tmp_path, fail_writes, argv, name):
         data, out = tmp_path / "data", tmp_path / "out"
-        assert main(["synth", "--subjects", "8", "--dims", "16x16x8", "--out", str(data)]) == 0
-        flags = (["--out", str(out / name)] if argv[0] == "profile"
-                 else ["--cohort", str(data / "cohort.csv"), "--out", str(out)])
+        subjects = "30" if argv[0] == "evaluate" else "8"  # enough knees to train and evaluate
+        assert main(["synth", "--subjects", subjects, "--out", str(data)]) == 0
+        cohort = str(data / "cohort.csv")
+        flags = {"synth": ["--out", str(out)],
+                 "evaluate": ["--snapshots", str(tmp_path / "run"), "--cohort", cohort,
+                              "--out", str(out)],
+                 "curves": ["--predictions", str(tmp_path / "predictions.csv"), "--out", str(out)],
+                 "profile": ["--out", str(out / name)]}.get(
+            argv[0], ["--cohort", cohort, "--out", str(out)])
+        if argv[0] == "evaluate":
+            assert main(["train", "--cohort", cohort,
+                         "--volumes", str(data / "volumes"), "--out", str(tmp_path / "run"),
+                         "--model-preset", "toy-2d-fc", "--epochs", "1",
+                         "--warmup-epochs", "0", "--folds", "2"]) == 0
+        if argv[0] == "curves":
+            write_predictions(tmp_path / "predictions.csv")
         assert main(argv + flags) == 0
         old = (out / name).read_bytes()
-        before = sorted(p.name for p in out.iterdir())
+        before = sorted(str(p.relative_to(out)) for p in out.rglob("*"))
         opened = fail_writes()
-        with pytest.raises(OSError, match="No space"):
-            main(argv + flags)
-        assert [p.name for p in opened] == [f".{name}.{os.getpid()}.tmp"]
+        assert main(argv + flags) == 3  # the full disk is an OS error
+        assert [p.name for p in opened] == [f".{Path(name).name}.{os.getpid()}.tmp"]
         assert (out / name).read_bytes() == old
         # the rerun removed its manifest before its first write, and left no temporary file
-        assert sorted(p.name for p in out.iterdir()) == [
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
             n for n in before if n != f"manifest_{argv[0]}.json"]
 
     @pytest.mark.parametrize("write", [write_curves, write_history, write_cohort,
