@@ -13,17 +13,20 @@ Then every output but the manifests is compared by sha256, and each
 ``manifest_<command>.json`` by its ``inputs``, ``outputs`` and ``seeds`` and
 by its config with the path fields put back in (``config`` and ``paths``
 together), paths made relative to the work directory. ``wall_clock`` and
-``config_hash`` are not compared, nor the hashes of the train manifests that
-an evaluate manifest records, since those manifests hold wall-clock times.
-Prints each difference and exits 1 if there is one; the exported trees are
+``config_hash`` are not compared. Prints each difference and exits 1 if
+there is one. A differing CSV output whose rows have the same lengths on
+both sides also gets the largest absolute difference of its numeric cells,
+so a change that moves bits says by how much. The exported trees are
 removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,8 +83,6 @@ def manifest_view(path, work):
     """The fields of a manifest that two same-input runs must agree on."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     config = {**doc["config"], **doc.get("paths", {})}
-    if "train_manifests" in config:
-        config["train_manifests"] = sorted(config["train_manifests"])
     return _relative({"command": doc["command"], "config": config, "inputs": doc["inputs"],
                       "outputs": doc["outputs"], "seeds": doc["seeds"]}, work)
 
@@ -99,14 +100,41 @@ def snapshot(work):
     return files
 
 
-def differences(a, b):
-    """One line per path whose entry differs between two snapshots."""
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def largest_difference(path_a, path_b):
+    """The largest absolute difference between the numeric cells in which
+    two CSV files differ, NaN against anything counting as infinite; None
+    if their rows differ in number or length or no numeric cell differs."""
+    rows = []
+    for path in (path_a, path_b):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows.append(list(csv.reader(fh)))
+    if [len(r) for r in rows[0]] != [len(r) for r in rows[1]]:
+        return None
+    pairs = [(_number(x), _number(y)) for ra, rb in zip(*rows) for x, y in zip(ra, rb) if x != y]
+    gaps = [abs(x - y) for x, y in pairs if x is not None and y is not None]
+    return max((math.inf if math.isnan(g) else g for g in gaps), default=None)
+
+
+def differences(a, b, works):
+    """One line per path whose entry differs between two snapshots, taken
+    of the two work directories ``works``; a differing CSV of one shape
+    also gets its largest absolute difference."""
     lines = []
     for rel in sorted(a.keys() | b.keys()):
         if rel not in a or rel not in b:
             lines.append(f"{rel}: only in {'parent' if rel in a else 'change'}")
         elif a[rel] != b[rel]:
-            lines.append(f"{rel}: differs")
+            diff = (largest_difference(*(Path(w) / rel for w in works))
+                    if rel.endswith(".csv") else None)
+            lines.append(f"{rel}: differs" + ("" if diff is None else
+                                              f", largest absolute difference {diff:.3g}"))
     return lines
 
 
@@ -117,17 +145,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
             for side, rev in zip(SIDES, (args.parent, args.change))}
-    snaps = {}
+    snaps, works = {}, {}
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as scratch:
         for side in SIDES:
-            tree, work = Path(scratch) / side, Path(scratch) / f"{side}-work"
+            tree, works[side] = Path(scratch) / side, Path(scratch) / f"{side}-work"
             export(revs[side], tree)
             t0 = time.monotonic()
-            run_sequence(tree, work)
-            snaps[side] = snapshot(work)
+            run_sequence(tree, works[side])
+            snaps[side] = snapshot(works[side])
             print(f"{side} {revs[side][:12]}: {len(snaps[side])} files, "
                   f"{time.monotonic() - t0:.1f} s", file=sys.stderr)
-    diffs = differences(snaps["parent"], snaps["change"])
+        diffs = differences(snaps["parent"], snaps["change"], [works[s] for s in SIDES])
     manifests = sum(isinstance(v, dict) for v in snaps["change"].values())
     for line in diffs:
         print(line)

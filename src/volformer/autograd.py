@@ -8,6 +8,11 @@ An op states its forward value and, per operand, a map from the output's
 gradient to that operand's; :func:`_op` writes the closure from them.
 ``batch_norm`` writes its own, as its three gradients share two reductions.
 
+One dtype rule: every array the engine, the layers and the optimiser make
+has the dtype of the model's parameters; a Tensor stores ``np.asarray`` of
+its data, so a 0-d result keeps its dtype. Only a constant that meets no
+Tensor (:func:`_as_tensor`) and :func:`tensor` of integer data are float64.
+
 Convolutions follow the deep-learning convention (cross-correlation, no
 kernel flip). Storage is dense row-major only; there are no strided views.
 
@@ -44,19 +49,13 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _array(data):
-    """``data`` as a Tensor stores it: an array as is, anything else (such
-    as the numpy scalar a ufunc returns for a 0-d input) as float64."""
-    return data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
-
-
 class Tensor:
     """A dense numpy-backed value in the autodiff graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad=False):
-        self.data = _array(data)
+        self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._backward = None
@@ -83,10 +82,7 @@ class Tensor:
 
     def accumulate_grad(self, g):
         # grads are rebound, never mutated in place, so aliasing is safe
-        if self.grad is None:
-            self.grad = np.asarray(g, dtype=self.data.dtype)
-        else:
-            self.grad = self.grad + g
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
@@ -141,11 +137,9 @@ class Tensor:
         backward(self)
 
 
-def tensor(data, requires_grad=False, dtype=None):
-    arr = np.asarray(data, dtype=dtype if dtype is not None else None)
-    if arr.dtype.kind not in "fc":
-        arr = arr.astype(np.float64)
-    return Tensor(arr, requires_grad=requires_grad)
+def tensor(data, requires_grad=False):
+    arr = np.asarray(data)
+    return Tensor(arr if arr.dtype.kind in "fc" else arr.astype(np.float64), requires_grad)
 
 
 _ZERO = bytes(16)  # the one read-only element behind every meta tensor
@@ -246,7 +240,7 @@ def power(a, p):
 
 def exp(a):
     a = _as_tensor(a)
-    out_data = _array(np.exp(a.data))  # the gradient reads the stored output
+    out_data = np.exp(a.data)
     return _op((a,), out_data, lambda g: g * out_data)
 
 
@@ -272,7 +266,7 @@ def sigmoid(a):
     if recorder is not None:
         return _meta_like(a)
     from scipy.special import expit
-    out_data = _array(expit(a.data))
+    out_data = expit(a.data)
     return _op((a,), out_data, lambda g: g * out_data * (1.0 - out_data))
 
 
@@ -280,7 +274,7 @@ def tanh(a):
     a = _as_tensor(a)
     if recorder is not None:
         return _meta_like(a)
-    out_data = _array(np.tanh(a.data))
+    out_data = np.tanh(a.data)
     return _op((a,), out_data, lambda g: g * (1.0 - out_data * out_data))
 
 

@@ -48,7 +48,7 @@ from .experiment import assemble_samples, check_sample_spec
 from .manifest import (
     atomic_writer,
     clear_manifest,
-    file_sha256,
+    manifest_sha256,
     read_manifest,
     write_json,
     write_manifest,
@@ -343,10 +343,10 @@ def cmd_evaluate(args, run):
     pred = ensemble_predict(graphs, samples)
     report = evaluate_predictions(pred, n_boot=args.n_boot, seed=args.seed)
     # basenames keep report bytes independent of where the run directory
-    # lives; manifest hashes are volatile and belong in the manifest chain
+    # lives; manifest hashes depend on it and belong in the manifest chain
     report.metadata["snapshots"] = [c.name for c in ckpts]
     run.config = {"snapshots": str(snap_dir), "n_boot": args.n_boot,
-                  "train_manifests": {m.name: file_sha256(m) for m in manifests}}
+                  "train_manifests": {m.name: manifest_sha256(m) for m in manifests}}
 
     out = run.output_dir(args.out)
     report_path = out / "report.json"

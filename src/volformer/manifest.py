@@ -89,3 +89,9 @@ def write_manifest(out_dir, command, config, inputs, outputs, seeds, paths=None)
 def read_manifest(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def manifest_sha256(path):
+    """The sha256 of a manifest without its ``wall_clock`` block: equal for
+    two runs of one command on the same inputs in the same directory."""
+    return config_hash({k: v for k, v in read_manifest(path).items() if k != "wall_clock"})

@@ -357,8 +357,8 @@ class BatchNorm(Module):
         self.dims = dims
         self.gamma = init.param((channels,), "ones")
         self.beta = init.param((channels,), "zeros")
-        self.set_buffer("running_mean", np.zeros(channels, dtype=np.float64))
-        self.set_buffer("running_var", np.ones(channels, dtype=np.float64))
+        self.set_buffer("running_mean", np.zeros(channels, dtype=init.dtype))
+        self.set_buffer("running_var", np.ones(channels, dtype=init.dtype))
 
     def forward(self, x, ctx=EVAL_CTX):
         if ctx.training:
@@ -369,15 +369,14 @@ class BatchNorm(Module):
             self.set_buffer("running_var", (1 - m) * self.running_var + m * var)
             return y
         bshape = (1, self.channels) + (1,) * self.dims
-        scale, shift = self.eval_affine(x.dtype)
+        scale, shift = self.eval_affine()
         return x * ag.reshape(scale, bshape) + ag.reshape(shift, bshape)
 
-    def eval_affine(self, dtype):
+    def eval_affine(self):
         """The frozen statistics as flat (C,) tensors: in eval mode the
         output is ``x * scale + shift`` per channel."""
-        inv = (1.0 / np.sqrt(self.running_var + BN_EPS)).astype(dtype)
-        scale = self.gamma.tensor * inv
-        shift = self.beta.tensor - scale * self.running_mean.astype(dtype)
+        scale = self.gamma.tensor * (1.0 / np.sqrt(self.running_var + BN_EPS))
+        shift = self.beta.tensor - scale * self.running_mean
         return scale, shift
 
 
@@ -394,7 +393,7 @@ def conv_norm(conv, norm, x, ctx=EVAL_CTX):
     fold = ctx.folds.get(norm) if ctx.folds is not None else None
     if fold is None:
         w = conv.weight.tensor
-        scale, shift = norm.eval_affine(w.dtype)
+        scale, shift = norm.eval_affine()
         fold = (w * ag.reshape(scale, (-1,) + (1,) * (w.ndim - 1)),
                 ag.reshape(shift, (1, -1) + (1,) * conv.dims))
         if ctx.folds is not None:

@@ -92,7 +92,8 @@ class AdamState:
 
 def adam_step(named_tensors, state: AdamState, lr, weight_decay=0.0):
     """One Adam update with decoupled weight decay (applied before the
-    moment update as p <- p - lr * wd * p). Mutates tensor data in place."""
+    moment update as p <- p - lr * wd * p). Mutates tensor data and the
+    moments, of the tensor's dtype, in place."""
     state.t += 1
     b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.t
     for name, tensor in named_tensors:
@@ -103,18 +104,14 @@ def adam_step(named_tensors, state: AdamState, lr, weight_decay=0.0):
             raise DivergenceError(f"non-finite gradient in tensor {name!r}")
         if weight_decay:
             tensor.data *= 1.0 - lr * weight_decay
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(tensor.data, dtype=np.float64)
-            state.v[name] = np.zeros_like(tensor.data, dtype=np.float64)
-        v = state.v[name]
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(tensor.data), np.zeros_like(tensor.data)
+        m, v = state.m[name], state.v[name]
         m *= b1
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * np.square(g)
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        tensor.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(tensor.data.dtype)
+        tensor.data -= (lr / (1 - b1 ** t)) * m / (np.sqrt(v / (1 - b2 ** t)) + eps)
 
 
 @dataclass

@@ -138,7 +138,7 @@ class TestConvKernels:
         ref = _correlate_reference(x, w, stride, padding)
         y = ag.conv_nd(t64(x), t64(w), stride=stride, padding=padding).data
         np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-12)
-        y32 = ag.conv_nd(ag.tensor(x, dtype=np.float32), ag.tensor(w, dtype=np.float32),
+        y32 = ag.conv_nd(ag.tensor(x.astype(np.float32)), ag.tensor(w.astype(np.float32)),
                          stride=stride, padding=padding).data
         assert y32.dtype == np.float32
         np.testing.assert_allclose(y32, ref, rtol=1e-4, atol=1e-4)
@@ -637,19 +637,21 @@ class TestShapeOnly:
 
 
 class TestDtype:
-    """A constant meeting a Tensor takes its dtype, so float32 models stay
-    float32 and float64 gradcheck blocks stay float64."""
+    """Every array the engine, the layers and the optimiser make has the
+    dtype of the model's parameters: float32 models stay float32 and
+    float64 gradcheck blocks stay float64."""
 
     @staticmethod
     def _spy(monkeypatch):
+        """Record the dtype of every array a Tensor stores, after conversion."""
         dtypes = []
-        make = ag._make
+        init = ag.Tensor.__init__
 
-        def spy(data, parents, backward_fn):
-            dtypes.append(np.asarray(data).dtype)
-            return make(data, parents, backward_fn)
+        def spy(self, data, requires_grad=False):
+            init(self, data, requires_grad)
+            dtypes.append(self.data.dtype)
 
-        monkeypatch.setattr(ag, "_make", spy)
+        monkeypatch.setattr(ag.Tensor, "__init__", spy)
         return dtypes
 
     def test_constants_take_the_tensor_dtype(self):
@@ -659,13 +661,15 @@ class TestDtype:
         assert (t64(np.ones(3)) * np.float32(2.0)).dtype == np.float64
 
     def test_scalar_float32_grad_reads_the_stored_output(self):
-        # a 0-d float32 input gives a float64 output tensor, and the gradient
-        # is computed from that stored value, not from a float32 scalar
-        x = ag.tensor(np.float32(-1.3), requires_grad=True)
-        y = ag.tanh(x)
-        ag.backward(y)
-        assert y.dtype == np.float64
-        assert x.grad == np.float32(1.0 - y.data * y.data)
+        # the numpy scalar a 0-d float32 input gives is stored as float32,
+        # and the gradient is computed from that stored value
+        for op, grad in ((ag.exp, lambda y: y), (ag.sigmoid, lambda y: y * (1.0 - y)),
+                         (ag.tanh, lambda y: 1.0 - y * y)):
+            x = ag.tensor(np.float32(-1.3), requires_grad=True)
+            y = op(x)
+            ag.backward(y)
+            assert y.dtype == x.grad.dtype == np.float32
+            assert x.grad == grad(y.data)
 
     @pytest.mark.parametrize("preset", ["toy-2d-trf", "toy-2d-fc", "toy-conv3d",
                                         "toy-multiview-shared"])
@@ -685,6 +689,31 @@ class TestDtype:
         focal_loss(ag.softmax(logits, axis=-1), [0, 2])
         assert dtypes and set(dtypes) == {np.dtype(np.float32)}
 
+    @pytest.mark.parametrize("preset", ["toy-2d-trf", "toy-2d-bilstm", "toy-conv3d"])
+    def test_training_step_stays_float32(self, monkeypatch, preset):
+        from volformer.architectures import build_model
+        from volformer.nn import Ctx
+        from volformer.presets import preset_config
+        from volformer.training import AdamState, adam_step, focal_loss
+
+        graph = build_model(preset_config(preset), seed=0)
+        rng = np.random.default_rng(0)
+        inputs = {v: rng.random((2,) + shape, dtype=np.float32)
+                  for v, shape in graph.input_spec.items()}
+        named = [(name, p.tensor) for name, p in graph.module.named_parameters()]
+        adam = AdamState()
+        dtypes = self._spy(monkeypatch)
+        logits = graph.forward(inputs, Ctx(training=True, rng=rng))
+        loss = focal_loss(ag.softmax(logits, axis=-1), [0, 2])
+        ag.backward(loss)
+        adam_step(named, adam, 1e-3, 1e-4)
+        probs = graph.predict_proba(inputs)
+        made = ([t.grad for _, t in named] + list(adam.m.values()) + list(adam.v.values())
+                + [buf for _, buf in graph.module.named_buffers()] + [probs])
+        assert loss.dtype == np.float32
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        assert {a.dtype for a in made} == {np.dtype(np.float32)}
+
     @pytest.mark.parametrize("training", [False, True])
     def test_float64_block_stays_float64(self, monkeypatch, training):
         from volformer.nn import BottleneckBlock, Ctx, ParamInit
@@ -694,3 +723,4 @@ class TestDtype:
         dtypes = self._spy(monkeypatch)
         block(x, Ctx(training=training))
         assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+        assert {buf.dtype for _, buf in block.named_buffers()} == {np.dtype(np.float64)}

@@ -34,13 +34,34 @@ def test_manifests_compare_without_wall_clock_hash_or_path_placement(tmp_path):
     assert sorted(change) == ["data/cohort.csv", "run/manifest_train.json", "run/report.json"]
     assert change["run/manifest_train.json"]["inputs"] == {
         "data/cohort.csv": parent["run/manifest_train.json"]["inputs"]["data/cohort.csv"]}
-    assert same_bytes.differences(parent, change) == []
+    assert same_bytes.differences(parent, change, [tmp_path / "p", tmp_path / "c"]) == []
 
 
 def test_reports_a_changed_output_a_changed_config_and_a_missing_file(tmp_path):
     parent = fake_run(tmp_path / "p", {"epochs": 2})
     fake_run(tmp_path / "c", {"epochs": 3}, report=b"{ }\n")
     (tmp_path / "c" / "run" / "extra.csv").write_text("x\n")
-    assert same_bytes.differences(parent, same_bytes.snapshot(tmp_path / "c")) == [
+    assert same_bytes.differences(parent, same_bytes.snapshot(tmp_path / "c"),
+                                  [tmp_path / "p", tmp_path / "c"]) == [
         "run/extra.csv: only in change", "run/manifest_train.json: differs",
         "run/report.json: differs"]
+
+
+def test_a_differing_csv_of_one_shape_reports_its_largest_difference(tmp_path):
+    csvs = {"eval/predictions.csv": ("knee_id,p\nK1,0.25\nK2,0.5\n",
+                                     "knee_id,p\nK1,0.25\nK2,0.5625\n"),
+            "run/history_fold_0.csv": ("epoch,loss\n0,1.0\n", "epoch,loss\n0,1.0\n1,0.5\n"),
+            "eval/roc.csv": ("threshold,tpr\ninf,1e-3\n", "threshold,tpr\ninf,-1e-3\n"),
+            "eval/pr.csv": ("threshold,precision\n0.5,0.25\n0.25,0.5\n",
+                            "threshold,precision\n0.5,0.125\n0.25,nan\n"),
+            "run/history_fold_1.csv": ("knee_id,p\nK1,0.25\n", "knee_id,p\nK2,0.25\n")}
+    for side, i in (("p", 0), ("c", 1)):
+        for rel, texts in csvs.items():
+            (tmp_path / side / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / rel).write_text(texts[i])
+    snaps = [same_bytes.snapshot(tmp_path / side) for side in ("p", "c")]
+    assert same_bytes.differences(*snaps, [tmp_path / "p", tmp_path / "c"]) == [
+        "eval/pr.csv: differs, largest absolute difference inf",
+        "eval/predictions.csv: differs, largest absolute difference 0.0625",
+        "eval/roc.csv: differs, largest absolute difference 0.002",
+        "run/history_fold_0.csv: differs", "run/history_fold_1.csv: differs"]

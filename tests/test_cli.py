@@ -15,7 +15,7 @@ from volformer import cli
 from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.cli import main
 from volformer.errors import DivergenceError
-from volformer.manifest import read_manifest, write_manifest
+from volformer.manifest import manifest_sha256, read_manifest, write_manifest
 from volformer.volume import Volume, load_volume, save_volume
 
 
@@ -461,10 +461,22 @@ class TestTrainEvaluate:
         manifest = read_manifest(out / "manifest_evaluate.json")
         assert "manifest_train.json" in manifest["config"]["train_manifests"]
         recorded = manifest["config"]["train_manifests"]["manifest_train.json"]
-        from volformer.manifest import file_sha256
-        assert recorded == file_sha256(trained_dir / "manifest_train.json")
+        assert recorded == manifest_sha256(trained_dir / "manifest_train.json")
         for fname in ("predictions.csv", "roc.csv", "pr.csv", "confusion.csv"):
             assert (out / fname).exists()
+
+    def test_evaluate_config_hash_survives_a_train_rerun(self, tmp_path, cohort_dir):
+        # a rerun of train in the same directory differs only in wall_clock
+        hashes = []
+        for rerun in ("first", "second"):
+            assert run("train", "--cohort", cohort_dir / "cohort.csv",
+                       "--volumes", cohort_dir / "volumes", "--out", tmp_path / "run",
+                       "--model-preset", "toy-2d-fc", "--epochs", 1, "--warmup-epochs", 0,
+                       "--folds", 2, "--fold", 0) == 0
+            assert run("evaluate", "--snapshots", tmp_path / "run", "--cohort",
+                       cohort_dir / "cohort.csv", "--out", tmp_path / rerun, "--n-boot", 100) == 0
+            hashes.append(read_manifest(tmp_path / rerun / "manifest_evaluate.json")["config_hash"])
+        assert hashes[0] == hashes[1]
 
     def test_evaluate_reads_volumes_of_a_manifest_without_paths(self, tmp_path, cohort_dir,
                                                                trained_dir):

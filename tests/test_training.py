@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from volformer import autograd as ag
+from volformer.architectures import build_model
+from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.errors import ConfigError, DivergenceError
 from volformer.presets import toy_config
 from volformer.training import (
@@ -14,6 +16,7 @@ from volformer.training import (
     focal_loss,
     history_to_csv,
     lr_schedule,
+    predict_proba_batched,
     train_fold,
 )
 from volformer.volume import IDENTITY_POLICY, AugmentPolicy
@@ -178,6 +181,20 @@ class TestTrainFold:
         assert snapshot.val_ap == max(aps)
         assert aps[snapshot.epoch] == snapshot.val_ap
         assert snapshot.epoch == int(np.argmax(aps))
+
+    def test_saved_snapshot_predicts_the_same_bits(self, tmp_path):
+        # the checkpoint written is the model whose validation AP chose it:
+        # every parameter and BatchNorm buffer survives the float32 file
+        model_cfg = toy_config("2d_trf", slice_count=4, slice_shape=(16, 16))
+        data = tiny_fold_data()
+        snapshot, _, _ = train_fold(model_cfg, data, 0, self._cfg(epochs=3))
+        save_checkpoint(tmp_path / "fold.vfwt", snapshot.state)
+        probs = []
+        for state in (snapshot.state, load_checkpoint(tmp_path / "fold.vfwt")):
+            graph = build_model(model_cfg, seed=1)
+            graph.module.load_state_dict(state)
+            probs.append(predict_proba_batched(graph, data.val))
+        assert probs[0].tobytes() == probs[1].tobytes()
 
     def test_history_schema(self):
         model_cfg = toy_config("2d_fc", slice_count=4, slice_shape=(16, 16))
