@@ -4,25 +4,27 @@ workflow, declared in one table, ``COMMANDS``, and run by one runner, ``main``.
 
 The runner reads every flag through its ``modelconfig`` Kind before the
 command runs, so a bad flag is one stderr line and makes no directory. A
-command calls ``run.output_dir`` just before its first write, which creates
-the directory and removes the old ``manifest_<command>.json``; on a clean
-return the runner writes the new manifest from the config, inputs, outputs
-and seeds the command declared, with the config fields that name a path flag
-under ``paths``, outside ``config_hash``. ``FAILURES`` maps errors to exit
-codes: 2 configuration errors; 3 data and OS errors, dead fold workers and
-running out of memory; 4 training divergence."""
+command names its inputs with ``run.input`` before it reads them, and the
+runner hashes them on one background thread while the command works. It
+calls ``run.output_dir`` just before its first write, which creates the
+directory and removes the old ``manifest_<command>.json``; on a clean return
+the runner waits for the hashes and writes the new manifest from the config,
+inputs, outputs and seeds the command declared, with the config fields that
+name a path flag under ``paths``, outside ``config_hash``. ``FAILURES`` maps
+errors to exit codes: 2 configuration errors; 3 data and OS errors, dead fold
+workers and running out of memory; 4 training divergence."""
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, manifest
 from .architectures import build_model
 from .cohort import (
     CLASS_NAMES,
@@ -50,6 +52,7 @@ from .manifest import (
     clear_manifest,
     manifest_sha256,
     read_manifest,
+    remove_dead_temporaries,
     write_json,
     write_manifest,
 )
@@ -165,9 +168,13 @@ def cmd_synth(args, run):
 
 
 def cmd_preprocess(args, run):
+    if Path(args.out).resolve() == Path(args.volumes).resolve():
+        raise ConfigError(f"--out {args.out} is the --volumes directory; preprocessed "
+                          "volumes would replace their own inputs")
     files = sorted(Path(args.volumes).glob("*.vvol"))
     if not files:
         raise DataError(f"no .vvol volumes found in {args.volumes}")
+    run.input(args.volumes)
     out = run.output_dir(args.out)
     for path in files:
         vol = preprocess(load_volume(path), args.crop, args.factors)
@@ -176,11 +183,11 @@ def cmd_preprocess(args, run):
         save_volume(vol, out / path.name)
         run.outputs.append(out / path.name)
     run.config = {"crop": list(args.crop), "factors": list(args.factors), "view": args.view}
-    run.inputs = [args.volumes]
     print(f"preprocess: {len(run.outputs)} volumes -> {out}")
 
 
 def cmd_label(args, run):
+    run.input(args.cohort)
     kept, excluded = _load_labelled(args.cohort)
     out = run.output_dir(args.out)
     labels_path = out / "labels.csv"
@@ -195,18 +202,19 @@ def cmd_label(args, run):
         fh.write("knee_id,reason\n")
         for record, reason in excluded:
             fh.write(f"{record.knee_id},{reason}\n")
-    run.inputs, run.outputs = [args.cohort], [labels_path, excl_path]
+    run.outputs = [labels_path, excl_path]
     print(f"label: {len(kept)} labelled, {len(excluded)} excluded -> {out}")
 
 
 def cmd_split(args, run):
+    run.input(args.cohort)
     kept, _ = _load_labelled(args.cohort)
     splits = split_dataset(kept, args.holdout, n_folds=args.folds, seed=args.seed)
     out = run.output_dir(args.out)
     splits_path = out / "splits.json"
     write_json(splits_path, splits.to_dict())
     run.config = {"holdout_institution": args.holdout, "folds": args.folds}
-    run.inputs, run.outputs, run.seeds = [args.cohort], [splits_path], {"seed": args.seed}
+    run.outputs, run.seeds = [splits_path], {"seed": args.seed}
     print(f"split: eval {len(splits.eval_ids)} knees, folds "
           f"{[len(f) for f in splits.folds]} -> {out}")
 
@@ -238,6 +246,7 @@ def cmd_train(args, run):
                                                if k in EXPERIMENT_KEYS})
     model_cfg, train_cfg = _experiment_pieces(cfg)
     thread_cap = _thread_cap()
+    run.input(cfg["cohort"], cfg["volumes"])
 
     kept, excluded = _load_labelled(cfg["cohort"], cfg["volumes"])
     splits = split_dataset(kept, cfg["holdout_institution"],
@@ -295,10 +304,11 @@ def cmd_train(args, run):
     run.config["model_config_text"] = format_model_config(model_cfg)
     run.config["excluded"] = len(excluded)
     run.config["fold_summary"] = summary
-    run.inputs, run.seeds = [cfg["cohort"], cfg["volumes"]], {"seed": cfg["seed"]}
+    run.seeds = {"seed": cfg["seed"]}
 
 
 def cmd_evaluate(args, run):
+    run.input(args.cohort)
     snap_dir = Path(args.snapshots)
     manifests = sorted(snap_dir.glob("manifest_train*.json"))
     if not manifests:
@@ -331,6 +341,7 @@ def cmd_evaluate(args, run):
     if absent:
         raise DataError(f"checkpoints listed by the train manifests are missing "
                         f"from {snap_dir}: {', '.join(absent)}")
+    run.input(*ckpts)
     graphs = []
     for ckpt in ckpts:
         graph = build_model(model_cfg, seed=0)
@@ -356,7 +367,6 @@ def cmd_evaluate(args, run):
         fh.write("knee_id,label,p_none,p_slow,p_fast\n")
         for kid, label, p in zip(pred.knee_ids, pred.labels, pred.probs):
             fh.write(f"{kid},{label},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
-    run.inputs = [args.cohort] + ckpts
     run.outputs = [report_path, pred_path] + list(export_curves(pred, out).values())
     run.seeds = {"seed": args.seed}
     print(f"evaluate: AP {report.ap:.3f} +/- {report.ap_std:.3f}, "
@@ -388,6 +398,8 @@ def _profile_input(raw, model_cfg):
 
 
 def cmd_profile(args, run):
+    if args.config:
+        run.input(args.config)
     if args.preset:
         model_cfg = preset_config(args.preset)
     elif args.config:
@@ -407,12 +419,13 @@ def cmd_profile(args, run):
     write_json(out, payload)
     run.config = {"preset": args.preset, "config": args.config,
                   "input": args.input, "timed": args.time}
-    run.inputs, run.outputs = [args.config] if args.config else [], [out]
+    run.outputs = [out]
     print(f"profile: {payload['total_macs'] / 1e9:.2f} GMACs, "
           f"{payload['total_params'] / 1e6:.2f} M params -> {out}")
 
 
 def cmd_curves(args, run):
+    run.input(args.predictions)
     rows = []
     with open(args.predictions, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -433,7 +446,7 @@ def cmd_curves(args, run):
                          probs=np.array([r[2] for r in rows]),
                          labels=np.array([r[1] for r in rows]))
     paths = export_curves(pred, run.output_dir(args.out))
-    run.inputs, run.outputs = [args.predictions], list(paths.values())
+    run.outputs = list(paths.values())
     print(f"curves: {', '.join(str(p) for p in paths.values())}")
 
 
@@ -441,22 +454,48 @@ def cmd_curves(args, run):
 # the command table and its runner
 
 
+def _input_digest(path):
+    # through the module attribute, so a wrapped ``file_sha256`` (perfbench's
+    # tracer) is the one that runs
+    return manifest.file_sha256(path) if path.is_file() else None
+
+
 class Run:
-    """What a command declares for its manifest: ``output_dir`` just before
-    its first write, and ``config``, ``inputs``, ``outputs`` and ``seeds`` by
-    the time it returns."""
+    """What a command declares for its manifest: its inputs through ``input``
+    before it reads them, ``output_dir`` just before its first write, and
+    ``config``, ``outputs`` and ``seeds`` by the time it returns."""
 
     def __init__(self, command):
         self.command, self.out = command, None
-        self.config, self.inputs, self.outputs, self.seeds = {}, [], [], {}
+        self.config, self.outputs, self.seeds = {}, [], {}
+        self._digests = {}  # input file -> future of its sha256 (None if absent)
+        self._hasher = ThreadPoolExecutor(max_workers=1, thread_name_prefix="input-hash")
+
+    def input(self, *paths):
+        """Name input files; a directory stands for its sorted ``.vvol``
+        files. Each is hashed on one background thread from now on, so the
+        hashing overlaps the command's own reads and writes."""
+        for item in map(Path, paths):
+            for path in sorted(item.glob("*.vvol")) if item.is_dir() else [item]:
+                if str(path) not in self._digests:
+                    self._digests[str(path)] = self._hasher.submit(_input_digest, path)
+
+    def input_hashes(self):
+        """Wait for the hashes: ``{path: sha256 or None}``."""
+        return {path: digest.result() for path, digest in self._digests.items()}
+
+    def close(self):
+        """Drop the hashes not yet started and join the hashing thread."""
+        self._hasher.shutdown(cancel_futures=True)
 
     def output_dir(self, out, command=None):
-        """Create ``out`` and remove its old ``manifest_<command>.json``;
-        ``command`` renames the manifest."""
+        """Create ``out``, remove its old ``manifest_<command>.json`` and the
+        temporaries of killed writers; ``command`` renames the manifest."""
         self.command = command or self.command
         self.out = Path(out)
         self.out.mkdir(parents=True, exist_ok=True)
         clear_manifest(self.out, self.command)
+        remove_dead_temporaries(self.out)
         return self.out
 
 
@@ -571,13 +610,15 @@ def main(argv=None):
         func(args, run)
         path_keys = {flag.key for flag in flags if flag.kind is PATH}
         paths = {k: run.config.pop(k) for k in path_keys & run.config.keys()}
-        write_manifest(run.out, run.command, run.config, run.inputs, run.outputs, run.seeds,
-                       paths)
+        write_manifest(run.out, run.command, run.config, run.input_hashes(), run.outputs,
+                       run.seeds, paths)
     except tuple(row[0] for row in FAILURES) as exc:
         code, label = next((code, label) for kind, code, label in FAILURES
                            if isinstance(exc, kind))
         print(f"volformer: {label}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
+    finally:
+        run.close()
     return EXIT_OK
 
 

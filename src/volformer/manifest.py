@@ -8,6 +8,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import time
 from pathlib import Path
 
@@ -15,10 +16,14 @@ from . import __version__
 
 
 def file_sha256(path):
+    """The hex sha256 of the file at ``path``, read through one reused
+    256 KiB buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buf = bytearray(1 << 18)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 
@@ -36,6 +41,26 @@ def atomic_writer(path, mode="w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # another user's live process
+        return True
+    return True
+
+
+def remove_dead_temporaries(out_dir):
+    """Remove the ``.<name>.<pid>.tmp`` files that ``atomic_writer`` left in
+    ``out_dir`` when its process was killed mid-write: those whose pid is no
+    longer alive. A live process's temporaries are kept."""
+    for tmp in Path(out_dir).glob(".*.tmp"):
+        match = re.fullmatch(r"\..+\.(\d+)\.tmp", tmp.name)
+        if match and not _pid_alive(int(match.group(1))):
+            tmp.unlink(missing_ok=True)
 
 
 def write_json(path, payload):
@@ -60,23 +85,20 @@ def clear_manifest(out_dir, command):
 def write_manifest(out_dir, command, config, inputs, outputs, seeds, paths=None):
     """Write manifest_<command>.json into out_dir and return its path.
 
-    Each of ``inputs`` is hashed; a directory stands for every ``.vvol``
-    file it holds. ``paths`` records where the run's files were: it sits
-    outside ``config``, so ``config_hash`` does not depend on it.
+    ``inputs`` maps each input file to its sha256, or to None for a file that
+    was absent; the CLI runner hashes them as the command names them.
+    ``paths`` records where the run's files were: it sits outside
+    ``config``, so ``config_hash`` does not depend on it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    input_hashes = {}
-    for item in inputs:
-        for path in sorted(Path(item).glob("*.vvol")) if Path(item).is_dir() else [item]:
-            input_hashes[str(path)] = file_sha256(path) if Path(path).is_file() else None
     payload = {
         "command": command,
         "version": __version__,
         "config": config,
         "config_hash": config_hash(config),
         "paths": paths or {},
-        "inputs": input_hashes,
+        "inputs": inputs,
         "outputs": sorted(str(o) for o in outputs),
         "seeds": seeds,
         "wall_clock": {"written_at_unix": time.time()},

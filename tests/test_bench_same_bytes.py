@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 from volformer import cli
-from volformer.manifest import write_manifest
+from volformer.manifest import file_sha256, write_manifest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_same_bytes", ROOT / "bench" / "same_bytes.py")
@@ -17,10 +17,11 @@ def fake_run(work, config, paths=None, report=b"{}\n"):
     (work / "run").mkdir(parents=True)
     (work / "run" / "report.json").write_bytes(report)
     (work / "data").mkdir()
-    (work / "data" / "cohort.csv").write_text("knee_id\n")
+    cohort = work / "data" / "cohort.csv"
+    cohort.write_text("knee_id\n")
     write_manifest(work / "run", "train", config=config, paths=paths,
-                   inputs=[work / "data" / "cohort.csv"], outputs=[work / "run" / "report.json"],
-                   seeds={"seed": 3})
+                   inputs={str(cohort): file_sha256(cohort)},
+                   outputs=[work / "run" / "report.json"], seeds={"seed": 3})
     return same_bytes.snapshot(work)
 
 

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 import volformer
-from volformer import cli
+from volformer import cli, manifest
 from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.cli import main
 from volformer.errors import DivergenceError
@@ -21,6 +24,34 @@ from volformer.volume import Volume, load_volume, save_volume
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def hashed_inputs(*paths):
+    """The runner's ``{path: sha256 or None}`` for the inputs ``paths``."""
+    runner = cli.Run("test")
+    try:
+        runner.input(*paths)
+        return runner.input_hashes()
+    finally:
+        runner.close()
+
+
+def two_volumes(vols):
+    vols.mkdir()
+    for name in ("a.vvol", "b.vvol"):
+        save_volume(Volume(np.zeros((16, 16, 8), np.uint8), (0.73, 0.73, 1.4)), vols / name)
+    return vols
+
+
+def nan_spacing(path):
+    """Write NaN over the first spacing value of the volume file ``path``."""
+    raw = bytearray(path.read_bytes())
+    raw[19:23] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(raw))
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -254,22 +285,17 @@ class TestErrorPaths:
         assert not list(out.glob("*.vvol"))
 
     def test_failed_preprocess_rerun_leaves_no_manifest(self, tmp_path):
-        vols = tmp_path / "volumes"
-        vols.mkdir()
-        for name in ("a.vvol", "b.vvol"):
-            save_volume(Volume(np.zeros((16, 16, 8), np.uint8), (0.73, 0.73, 1.4)), vols / name)
+        vols = two_volumes(tmp_path / "volumes")
         out = tmp_path / "cor"
         args = ("preprocess", "--volumes", vols, "--out", out, "--view", "cor", "--crop", "16x16x8")
         assert run(*args) == 0 and (out / "manifest_preprocess.json").exists()
-        raw = bytearray((vols / "b.vvol").read_bytes())
-        raw[19:23] = struct.pack("<f", float("nan"))
-        (vols / "b.vvol").write_bytes(bytes(raw))
+        nan_spacing(vols / "b.vvol")
         assert run(*args) == 3
         assert not (out / "manifest_preprocess.json").exists()
 
     def test_failed_fold_leaves_no_manifest(self, tmp_path, cohort_dir, monkeypatch):
         out = tmp_path / "run"
-        write_manifest(out, "train", config={}, inputs=[], outputs=[], seeds={})  # an earlier run
+        write_manifest(out, "train", config={}, inputs={}, outputs=[], seeds={})  # an earlier run
         train_fold = cli.train_fold
 
         def fold_1_diverges(model_cfg, data, fold_index, train_cfg):
@@ -311,6 +337,110 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"volformer: out of memory: {message}\n"
 
 
+class TestInputHashing:
+    def test_file_and_directory_digests_match_hashlib(self, tmp_path, cohort_dir):
+        cohort = cohort_dir / "cohort.csv"
+        assert run("label", "--cohort", cohort, "--out", tmp_path / "labels") == 0
+        assert read_manifest(tmp_path / "labels" / "manifest_label.json")["inputs"] == {
+            str(cohort): sha256_of(cohort)}
+        vols = two_volumes(tmp_path / "volumes")
+        out = tmp_path / "sag"
+        assert run("preprocess", "--volumes", vols, "--out", out, "--crop", "16x16x8") == 0
+        assert read_manifest(out / "manifest_preprocess.json")["inputs"] == {
+            str(vols / name): sha256_of(vols / name) for name in ("a.vvol", "b.vvol")}
+
+    def test_missing_optional_input_records_none(self, tmp_path):
+        absent = tmp_path / "absent.cfg"
+        out = tmp_path / "r.json"
+        assert run("profile", "--preset", "toy-2d-fc", "--config", absent, "--out", out) == 0
+        assert read_manifest(tmp_path / "manifest_profile.json")["inputs"] == {str(absent): None}
+        assert hashed_inputs(absent, tmp_path / "no_dir") == {
+            str(absent): None, str(tmp_path / "no_dir"): None}
+
+    def test_failed_command_joins_the_hashing_thread(self, tmp_path, monkeypatch):
+        file_sha256 = manifest.file_sha256
+
+        def slow_sha256(path):
+            time.sleep(0.2)  # still hashing when the command fails
+            return file_sha256(path)
+
+        monkeypatch.setattr(manifest, "file_sha256", slow_sha256)
+        vols = two_volumes(tmp_path / "volumes")
+        nan_spacing(vols / "b.vvol")
+        threads = threading.active_count()
+        assert run("preprocess", "--volumes", vols, "--out", tmp_path / "sag",
+                   "--crop", "16x16x8") == 3
+        assert not (tmp_path / "sag" / "manifest_preprocess.json").exists()
+        assert threading.active_count() == threads
+
+    def test_hashing_error_exits_3_with_one_line(self, tmp_path, cohort_dir, monkeypatch,
+                                                 capsys):
+        def unreadable(path):
+            raise OSError(f"cannot read {path}")
+
+        monkeypatch.setattr(manifest, "file_sha256", unreadable)
+        cohort = cohort_dir / "cohort.csv"
+        assert run("label", "--cohort", cohort, "--out", tmp_path / "labels") == 3
+        assert capsys.readouterr().err == f"volformer: I/O error: cannot read {cohort}\n"
+        assert not (tmp_path / "labels" / "manifest_label.json").exists()
+
+    def test_preprocess_names_inputs_before_loading(self, tmp_path, monkeypatch):
+        calls = []
+        name_inputs, load = cli.Run.input, cli.load_volume
+
+        def spy_input(self, *paths):
+            calls.append("input")
+            return name_inputs(self, *paths)
+
+        def spy_load(path):
+            calls.append("load")
+            return load(path)
+
+        monkeypatch.setattr(cli.Run, "input", spy_input)
+        monkeypatch.setattr(cli, "load_volume", spy_load)
+        vols = two_volumes(tmp_path / "volumes")
+        assert run("preprocess", "--volumes", vols, "--out", tmp_path / "sag",
+                   "--crop", "16x16x8") == 0
+        assert calls == ["input", "load", "load"]
+
+    @pytest.mark.parametrize("same", [lambda v: v, lambda v: v / ".." / v.name],
+                             ids=["same-path", "dot-dot"])
+    def test_preprocess_into_its_volumes_dir_exits_2(self, tmp_path, capsys, same):
+        vols = two_volumes(tmp_path / "volumes")
+        before = {p.name: p.read_bytes() for p in vols.iterdir()}
+        assert run("preprocess", "--volumes", vols, "--out", same(vols),
+                   "--crop", "16x16x8") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is the --volumes directory" in err
+        assert {p.name: p.read_bytes() for p in vols.iterdir()} == before
+
+
+def test_output_dir_removes_dead_writers_temporaries(tmp_path):
+    """A writer killed inside ``atomic_writer`` leaves its temporary; the next
+    command writing to that directory removes it, but keeps a live one's."""
+    out = tmp_path / "out"
+    out.mkdir()
+    writer = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys, time\n"
+         "from volformer.manifest import atomic_writer\n"
+         "with atomic_writer(sys.argv[1], 'wb') as fh:\n"
+         "    fh.write(b'partial'); fh.flush(); print('open', flush=True); time.sleep(60)\n",
+         str(out / "labels.csv")],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(volformer.__file__).resolve().parents[1])))
+    assert writer.stdout.readline() == "open\n"
+    writer.kill()
+    writer.wait()
+    writer.stdout.close()
+    dead = out / f".labels.csv.{writer.pid}.tmp"
+    live = out / f".splits.json.{os.getpid()}.tmp"
+    live.write_bytes(b"partial")
+    assert dead.exists()
+    cli.Run("label").output_dir(out)
+    assert sorted(p.name for p in out.iterdir()) == [live.name]
+
+
 def test_volume_contents_hashed_past_256_files(tmp_path):
     """A one-byte edit that keeps every file's size still changes the
     manifest's inputs, however many volumes the directory holds."""
@@ -320,8 +450,9 @@ def test_volume_contents_hashed_past_256_files(tmp_path):
         (vols / f"v{i:03d}.vvol").write_bytes(bytes([i % 251]) * 16)
 
     def inputs():
+        hashes = hashed_inputs(vols)
         return read_manifest(write_manifest(tmp_path / "m", "preprocess", config={},
-                                            inputs=[vols], outputs=[], seeds={}))["inputs"]
+                                            inputs=hashes, outputs=[], seeds={}))["inputs"]
 
     before = inputs()
     assert len(before) == 257 and all(before.values())
@@ -354,7 +485,7 @@ def test_cli_import_leaves_out_scipy_stats():
 
 def test_sag_preprocess_and_profile_leave_out_scipy(cohort_dir, tmp_path):
     code = f"""
-from volformer import cli
+from volformer import cli, manifest
 assert cli.main(["preprocess", "--volumes", {str(cohort_dir / "volumes")!r},
                  "--out", {str(tmp_path / "sag")!r}, "--crop", "32x32x16",
                  "--view", "sag"]) == 0
@@ -376,7 +507,7 @@ def test_cor_and_ax_preprocess_leave_out_scipy(tmp_path, view):
                     vols / f"knee{i}.vvol")
     out = tmp_path / view
     code = f"""
-from volformer import cli
+from volformer import cli, manifest
 assert cli.main(["preprocess", "--volumes", {str(vols)!r}, "--out", {str(out)!r},
                  "--crop", "32x32x16", "--view", {view!r}]) == 0
 """

@@ -289,12 +289,12 @@ class TestAtomicWrites:
 
     def test_write_manifest_failure_keeps_old_file(self, tmp_path, fail_writes):
         path = manifest.write_manifest(tmp_path, "preprocess", config={"view": "sag"},
-                                       inputs=[], outputs=[], seeds={})
+                                       inputs={}, outputs=[], seeds={})
         old = path.read_bytes()
         opened = fail_writes()
         with pytest.raises(OSError, match="No space"):
             manifest.write_manifest(tmp_path, "preprocess", config={"view": "cor"},
-                                    inputs=[], outputs=[], seeds={})
+                                    inputs={}, outputs=[], seeds={})
         assert len(opened) == 1 and opened[0].parent == tmp_path and opened[0] != path
         assert path.read_bytes() == old
         assert json.loads(old)["config"] == {"view": "sag"}
