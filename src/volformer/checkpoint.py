@@ -52,7 +52,10 @@ def load_checkpoint(path):
             raise CheckpointError(f"unsupported checkpoint version {version}")
         for i in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"tensor {i} name length"))
-            name = _read_exact(fh, name_len, f"tensor {i} name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, f"tensor {i} name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"tensor {i} name at offset {fh.tell() - name_len} is not UTF-8") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} ndim"))
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} dims"))
             n = int(np.prod(dims)) if ndim else 1

@@ -2,7 +2,7 @@
 synth / preprocess / label / split / train / evaluate / profile / curves
 workflow, declared in one table, ``COMMANDS``, and run by one runner, ``main``.
 
-The runner reads every flag through its ``modelconfig`` Kind before the
+The runner reads every flag through its Kind (``kinds``) before the
 command runs, so a bad flag is one stderr line and makes no directory. A
 command names its inputs with ``run.input`` before it reads them, and the
 runner hashes them on one background thread while the command works. It
@@ -56,20 +56,21 @@ from .manifest import (
     write_json,
     write_manifest,
 )
-from .modelconfig import (
+from .kinds import (
     BOOL,
     DIMS,
     FLOAT,
     NONNEG_INT,
     PATH,
     POS_INT,
+    PROB,
     STR,
-    format_model_config,
-    load_model_config,
-    parse_model_config,
+    int_in,
     read_config,
+    read_table,
     read_text,
 )
+from .modelconfig import format_model_config, load_model_config, parse_model_config
 from .presets import preset_config
 from .profiler import count_macs, time_inference
 from .synth import SynthSpec, synth_generate
@@ -83,6 +84,12 @@ from .volume import (
 )
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED = 0, 2, 3, 4
+
+# predictions.csv, written by ``evaluate`` and read by ``curves``: the class
+# label and the three class probabilities of each hold-out knee
+PROBS = ("p_none", "p_slow", "p_fast")
+PREDICTION_COLUMNS = {"knee_id": STR, "label": int_in(0, len(CLASS_NAMES) - 1),
+                      **dict.fromkeys(PROBS, PROB)}
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +238,12 @@ def _train_one_fold(packed):
     return fold_index, snapshot.epoch, snapshot.val_ap, str(ckpt), str(hist_path)
 
 
-def _thread_cap():
-    """The VOLFORMER_THREADS cap on fold workers, or None when unset."""
-    raw = os.environ.get("VOLFORMER_THREADS")
-    if not raw:
-        return None
-    if not (raw.strip().isdecimal() and int(raw) > 0):
-        raise ConfigError(f"VOLFORMER_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def cmd_train(args, run):
     cfg = load_experiment_config(args.config, {k: v for k, v in vars(args).items()
                                                if k in EXPERIMENT_KEYS})
     model_cfg, train_cfg = _experiment_pieces(cfg)
-    thread_cap = _thread_cap()
+    raw_cap = os.environ.get("VOLFORMER_THREADS")  # a cap on fold workers when set
+    thread_cap = POS_INT.parse(raw_cap, "VOLFORMER_THREADS") if raw_cap else None
     run.input(cfg["cohort"], cfg["volumes"])
 
     kept, excluded = _load_labelled(cfg["cohort"], cfg["volumes"])
@@ -307,19 +305,48 @@ def cmd_train(args, run):
     run.seeds = {"seed": cfg["seed"]}
 
 
+# the train manifest fields ``evaluate`` reads -> their JSON type; the
+# manifests of one training run agree on every ``config.`` field here
+TRAIN_FIELDS = {"config": dict, "outputs": list, "config.model_config_text": str,
+                "config.crop": list, "config.factors": list, "config.holdout_institution": str}
+
+
+def _read_train_manifests(paths):
+    """The train manifests at ``paths``: each must hold TRAIN_FIELDS, and
+    all must be of one training run. A DataError names the file otherwise."""
+    manifests, first = [], {}
+    for path in paths:
+        try:
+            manifests.append(read_manifest(path))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise DataError(f"{path}: not a JSON manifest ({exc})") from None
+        for field, kind in TRAIN_FIELDS.items():
+            value = manifests[-1]
+            for key in field.split("."):
+                value = value.get(key) if isinstance(value, dict) else None
+            if not isinstance(value, kind):
+                raise DataError(f"{path}: field {field} is missing or not a {kind.__name__}")
+            if "." in field and first.setdefault(field, value) != value:
+                raise DataError(f"{path.name} and {paths[0].name} disagree on {field}: "
+                                f"{path.parent} holds more than one training run")
+    return manifests
+
+
 def cmd_evaluate(args, run):
     run.input(args.cohort)
     snap_dir = Path(args.snapshots)
     manifests = sorted(snap_dir.glob("manifest_train*.json"))
     if not manifests:
         raise DataError(f"no train manifest found in {snap_dir}")
-    train_manifest = read_manifest(manifests[0])
-    tcfg = train_manifest["config"]
+    trains = _read_train_manifests(manifests)
+    tcfg = trains[0]["config"]
     model_cfg = parse_model_config(tcfg["model_config_text"],
                                    f"{manifests[0]} model_config_text")
     crop, factors = tuple(tcfg["crop"]), tuple(tcfg["factors"])
     # manifests written before ``paths`` existed keep the volumes in their config
-    volumes_dir = args.volumes or train_manifest.get("paths", tcfg)["volumes"]
+    volumes_dir = args.volumes or trains[0].get("paths", tcfg).get("volumes")
+    if not isinstance(volumes_dir, str):
+        raise DataError(f"{manifests[0]}: field paths.volumes is missing; give --volumes")
     holdout = tcfg["holdout_institution"]
 
     kept, _ = _load_labelled(args.cohort, volumes_dir)
@@ -333,8 +360,8 @@ def cmd_evaluate(args, run):
     # only the checkpoints the train manifests list, found by basename, so
     # stray or leftover folds in the directory are never ensembled
     ckpts = [snap_dir / name for name in sorted(
-        {Path(o).name for m in manifests for o in read_manifest(m)["outputs"]
-         if o.endswith(".vfwt")})]
+        {Path(o).name for m in trains for o in m["outputs"]
+         if isinstance(o, str) and o.endswith(".vfwt")})]
     if not ckpts:
         raise DataError(f"the train manifests in {snap_dir} list no checkpoints")
     absent = [c.name for c in ckpts if not c.is_file()]
@@ -364,7 +391,7 @@ def cmd_evaluate(args, run):
     write_json(report_path, report.to_dict())
     pred_path = out / "predictions.csv"
     with atomic_writer(pred_path, "w", encoding="utf-8") as fh:
-        fh.write("knee_id,label,p_none,p_slow,p_fast\n")
+        fh.write(",".join(PREDICTION_COLUMNS) + "\n")
         for kid, label, p in zip(pred.knee_ids, pred.labels, pred.probs):
             fh.write(f"{kid},{label},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
     run.outputs = [report_path, pred_path] + list(export_curves(pred, out).values())
@@ -426,25 +453,19 @@ def cmd_profile(args, run):
 
 def cmd_curves(args, run):
     run.input(args.predictions)
-    rows = []
-    with open(args.predictions, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "knee_id,label,p_none,p_slow,p_fast":
-            raise DataError(f"{args.predictions}: unexpected header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 5:
-                raise DataError(f"{args.predictions} line {line_no}: expected 5 columns")
-            try:
-                rows.append((parts[0], int(parts[1]),
-                             [float(parts[2]), float(parts[3]), float(parts[4])]))
-            except ValueError:
-                raise DataError(f"{args.predictions} line {line_no}: bad numeric value") from None
+    rows = read_table(args.predictions, PREDICTION_COLUMNS)
     if not rows:
         raise DataError(f"{args.predictions}: no prediction rows")
-    pred = PredictionSet(knee_ids=[r[0] for r in rows],
-                         probs=np.array([r[2] for r in rows]),
-                         labels=np.array([r[1] for r in rows]))
+    for line_no, row in rows:
+        where = f"{args.predictions} line {line_no}"
+        if missing := [column for column, value in row.items() if value is None]:
+            raise DataError(f"{where}: {missing[0]} is required")
+        total = sum(row[p] for p in PROBS)
+        if abs(total - 1) > 1e-6:
+            raise DataError(f"{where}: probabilities sum to {total!r}, not 1")
+    pred = PredictionSet(knee_ids=[row["knee_id"] for _, row in rows],
+                         probs=np.array([[row[p] for p in PROBS] for _, row in rows]),
+                         labels=np.array([row["label"] for _, row in rows]))
     paths = export_curves(pred, run.output_dir(args.out))
     run.outputs = list(paths.values())
     print(f"curves: {', '.join(str(p) for p in paths.values())}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
+from .kinds import BOOL, FLOAT, STR, int_in, one_of, read_table
 from .manifest import atomic_writer
 
 CLASS_NONE, CLASS_SLOW, CLASS_FAST = 0, 1, 2
@@ -24,8 +25,14 @@ VISIT_MONTHS = (0, 12, 24, 36, 48, 72, 96)
 FAST_HORIZON = 72
 FOLLOWUP_HORIZON = 96
 
-CSV_HEADER = ("subject_id,side,institution_id,age,sex,bmi,tka_baseline,"
-              "klg_m0,klg_m12,klg_m24,klg_m36,klg_m48,klg_m72,klg_m96")
+# cohort.csv's header, in order, and each column's Kind; an empty cell is a
+# missing value, which only the REQUIRED columns refuse
+COLUMNS = {
+    "subject_id": STR, "side": one_of("L", "R"), "institution_id": STR, "age": FLOAT,
+    "sex": one_of("M", "F"), "bmi": FLOAT, "tka_baseline": BOOL,
+    **{f"klg_m{month}": int_in(0, 4) for month in VISIT_MONTHS},
+}
+REQUIRED = ("subject_id", "side", "institution_id", "age")
 
 
 @dataclass
@@ -38,13 +45,6 @@ class KneeRecord:
     bmi: float | None = None
     tka_baseline: bool = False
     klg_by_month: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.side not in ("L", "R"):
-            raise DataError(f"side must be L or R, got {self.side!r}")
-        for month, grade in self.klg_by_month.items():
-            if grade is not None and not 0 <= grade <= 4:
-                raise DataError(f"KLG must be 0..4, got {grade} at month {month}")
 
     @property
     def knee_id(self):
@@ -233,84 +233,24 @@ def resample_balance(train_indices, labels, rng):
 # CSV interface
 
 
-def _parse_cell(raw, kind, column, line_no):
-    raw = raw.strip()
-    if raw == "":
-        return None
-    try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            if raw in ("0", "1"):
-                return raw == "1"
-            if raw.lower() in ("true", "false"):
-                return raw.lower() == "true"
-            raise ValueError(raw)
-        if kind == "side":
-            if raw not in ("L", "R"):
-                raise ValueError(raw)
-            return raw
-        if kind == "sex":
-            if raw not in ("M", "F"):
-                raise ValueError(raw)
-            return raw
-        if kind == "klg":
-            value = int(raw)
-            if not 0 <= value <= 4:
-                raise ValueError(raw)
-            return value
-    except ValueError:
-        raise DataError(f"line {line_no}: bad {column} value {raw!r}") from None
-    return raw
-
-
 def read_cohort_csv(path):
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty cohort file") from None
-        if [h.strip() for h in header] != CSV_HEADER.split(","):
-            raise DataError(f"{path}: unexpected header {','.join(header)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 14:
-                raise DataError(f"line {line_no}: expected 14 columns, got {len(row)}")
-            try:
-                klg = {}
-                for month, cell in zip(VISIT_MONTHS, row[7:]):
-                    grade = _parse_cell(cell, "klg", f"klg_m{month}", line_no)
-                    if grade is not None:
-                        klg[month] = grade
-                age = _parse_cell(row[3], "float", "age", line_no)
-                if age is None:
-                    raise DataError(f"line {line_no}: age is required")
-                records.append(KneeRecord(
-                    subject_id=row[0].strip(),
-                    side=_parse_cell(row[1], "side", "side", line_no),
-                    institution_id=row[2].strip(),
-                    age=age,
-                    sex=_parse_cell(row[4], "sex", "sex", line_no),
-                    bmi=_parse_cell(row[5], "float", "bmi", line_no),
-                    tka_baseline=bool(_parse_cell(row[6], "bool", "tka_baseline", line_no)),
-                    klg_by_month=klg,
-                ))
-            except DataError:
-                raise
-            except Exception as exc:
-                raise DataError(f"line {line_no}: {exc}") from exc
+    for line_no, row in read_table(path, COLUMNS):
+        if missing := [c for c in REQUIRED if row[c] is None]:
+            raise DataError(f"{path} line {line_no}: {missing[0]} is required")
+        records.append(KneeRecord(
+            **{c: row[c] for c in ("subject_id", "side", "institution_id", "age", "sex", "bmi")},
+            tka_baseline=bool(row["tka_baseline"]),
+            klg_by_month={m: row[f"klg_m{m}"] for m in VISIT_MONTHS
+                          if row[f"klg_m{m}"] is not None},
+        ))
     return records
 
 
 def write_cohort_csv(records, path):
     with atomic_writer(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER.split(","))
+        writer.writerow(COLUMNS)
         for r in records:
             row = [r.subject_id, r.side, r.institution_id, f"{r.age:.1f}",
                    r.sex or "", "" if r.bmi is None else f"{r.bmi:.1f}",

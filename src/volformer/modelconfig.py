@@ -1,108 +1,14 @@
-"""Flat ``key = value`` config files (UTF-8, ``#`` comments) read through
-typed key tables.
-
-One reader serves the experiment config (``cli.EXPERIMENT_KEYS``) and the
-model config (``MODEL_KEYS``). A table maps each key to its type, which
-parses a raw value and formats it back, and to a default or a target field.
-Unknown and duplicate keys and bad values are hard errors that read
-``<source> line N: ...``, so typos cannot silently fall back to defaults.
-"""
+"""Model architecture files: ``kinds.read_config`` through ``MODEL_KEYS``,
+which maps each key to its Kind and its ``ModelConfig`` field, and
+``format_model_config``, its inverse."""
 
 from __future__ import annotations
 
-import math
 from operator import attrgetter
-from typing import Callable, NamedTuple
 
 from .architectures import VIEWS, ModelConfig
 from .errors import ConfigError
-
-
-class Kind(NamedTuple):
-    """A value type: ``cast`` turns raw text into a value (ValueError when
-    bad), ``format`` writes the value back as text that casts to it again."""
-
-    what: str
-    cast: Callable
-    format: Callable = str
-
-    def parse(self, raw, name):
-        try:
-            return self.cast(raw)
-        except ValueError:
-            raise ConfigError(f"{name} expects {self.what}, got {raw!r}") from None
-
-
-def _checked(cast, ok):
-    def parse(raw):
-        value = cast(raw)
-        if not ok(value):
-            raise ValueError(raw)
-        return value
-    return parse
-
-
-def _ints(raw):
-    return tuple(int(p) for p in raw.split(","))
-
-
-def _bool(raw):
-    flag = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-    if raw.lower() not in flag:
-        raise ValueError(raw)
-    return flag[raw.lower()]
-
-
-def _dims(n):
-    """``n`` positive integers written ``AxB...`` or ``a,b,...``."""
-    cast = _checked(lambda raw: _ints(raw.lower().replace("x", ",")),
-                    lambda v: len(v) == n and min(v) > 0)
-    return Kind(f"{n} positive integers like {'x'.join(['16'] * n)}", cast,
-                lambda v: "x".join(map(str, v)))
-
-
-POS_INT = Kind("a positive integer", _checked(int, lambda v: v > 0))
-NONNEG_INT = Kind("a non-negative integer", _checked(int, lambda v: v >= 0))
-FLOAT = Kind("a finite number", _checked(float, math.isfinite))
-BOOL = Kind("true or false", _bool, lambda v: "true" if v else "false")
-INT_LIST = Kind("comma-separated positive integers", _checked(_ints, lambda v: min(v) > 0),
-                lambda v: ",".join(map(str, v)))
-DIMS = _dims(3)
-SHAPE = _dims(2)
-STR = Kind("a string", str)
-PATH = Kind("a path", str)  # a location, kept out of a manifest's config_hash
-NAMES = Kind("comma-separated names",
-             lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()), ",".join)
-
-
-def read_text(path, what):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def read_config(text, table, source):
-    """``{key: (value, line_no)}`` for the ``key = value`` lines of ``text``;
-    ``table[key][0]`` is the key's Kind."""
-    entries = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        where = f"{source} line {line_no}"
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{where}: expected 'key = value', got {line.rstrip()!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in table:
-            raise ConfigError(f"{where}: unknown config key {key!r}")
-        if key in entries:
-            raise ConfigError(f"{where}: duplicate key {key!r} "
-                              f"(first set on line {entries[key][1]})")
-        entries[key] = (table[key][0].parse(raw, f"{where}: {key}"), line_no)
-    return entries
-
+from .kinds import BOOL, FLOAT, INT_LIST, NAMES, POS_INT, SHAPE, STR, read_config, read_text
 
 # key -> (kind, ModelConfig attribute path). A per-view key reads ``slice_count``
 # for every view and ``slice_count.<view>`` for one, which wins.

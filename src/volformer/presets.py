@@ -52,20 +52,17 @@ def full_scale_config(family, views=None) -> ModelConfig:
     ).validate()
 
 
+def _toy_encoder(stem_pool):
+    """The toy encoder: one channel, 2 bottleneck stages, width <= 32."""
+    return EncoderSpec(in_channels=1, stem_width=8, stage_widths=(4, 8), blocks_per_stage=(1, 1),
+                       stem_kernel=3, stem_stride=1, stem_pool=stem_pool)
+
+
 def toy_config(family="2d_trf", slice_count=8, slice_shape=(24, 24), views=None) -> ModelConfig:
     """Small stand-in with the same topology: 2 bottleneck stages, width<=32."""
     if family in VOLUMETRIC_FAMILIES:
         raise ConfigError("use toy_volumetric_config for volumetric families")
     views = tuple(views or (("sag", "cor", "ax") if family in MULTIVIEW_FAMILIES else ("sag",)))
-    encoder = EncoderSpec(
-        in_channels=1,
-        stem_width=8,
-        stage_widths=(4, 8),
-        blocks_per_stage=(1, 1),
-        stem_kernel=3,
-        stem_stride=1,
-        stem_pool=True,
-    )
     aggregator = AggregatorSpec(
         model_dim=32, blocks=2, heads=4, mlp_ratio=1.0, dropout=0.1,
         fc_hidden=32, lstm_hidden=16,
@@ -73,7 +70,7 @@ def toy_config(family="2d_trf", slice_count=8, slice_shape=(24, 24), views=None)
     return ModelConfig(
         family=family,
         views=views,
-        encoder=encoder,
+        encoder=_toy_encoder(stem_pool=True),
         aggregator=aggregator,
         slice_count={v: slice_count for v in views},
         slice_shape={v: slice_shape for v in views},
@@ -81,19 +78,10 @@ def toy_config(family="2d_trf", slice_count=8, slice_shape=(24, 24), views=None)
 
 
 def toy_volumetric_config(family="conv3d", dims=(8, 32, 32)) -> ModelConfig:
-    encoder = EncoderSpec(
-        in_channels=1,
-        stem_width=8,
-        stage_widths=(4, 8),
-        blocks_per_stage=(1, 1),
-        stem_kernel=3,
-        stem_stride=1,
-        stem_pool=False,
-    )
     return ModelConfig(
         family=family,
         views=("sag",),
-        encoder=encoder,
+        encoder=_toy_encoder(stem_pool=False),
         aggregator=AggregatorSpec(model_dim=32, blocks=1, heads=4),
         slice_count={"sag": dims[0]},
         slice_shape={"sag": (dims[1], dims[2])},

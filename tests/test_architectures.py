@@ -23,6 +23,7 @@ from volformer.architectures import (
 )
 from volformer.checkpoint import save_checkpoint
 from volformer.errors import CheckpointError, ConfigError, ShapeError
+from volformer import kinds as kd
 from volformer import modelconfig as mc
 from volformer.cli import EXPERIMENT_KEYS
 from volformer.modelconfig import format_model_config, load_model_config, parse_model_config
@@ -593,16 +594,16 @@ class TestModelConfigFile:
 
 _NAME = string.ascii_letters + string.digits + "_-./:"
 _VALUES = {
-    mc.POS_INT: st.integers(1, 2**63),
-    mc.NONNEG_INT: st.integers(0, 2**63),
-    mc.FLOAT: st.floats(allow_nan=False, allow_infinity=False),
-    mc.BOOL: st.booleans(),
-    mc.INT_LIST: st.lists(st.integers(1, 10**6), min_size=1, max_size=5).map(tuple),
-    mc.DIMS: st.tuples(*[st.integers(1, 10**4)] * 3),
-    mc.SHAPE: st.tuples(*[st.integers(1, 10**4)] * 2),
-    mc.STR: st.text(_NAME + " =,", max_size=20).map(str.strip),
-    mc.PATH: st.text(_NAME, max_size=20),
-    mc.NAMES: st.lists(st.text(_NAME, min_size=1, max_size=8), min_size=1, max_size=3).map(tuple),
+    kd.POS_INT: st.integers(1, 2**63),
+    kd.NONNEG_INT: st.integers(0, 2**63),
+    kd.FLOAT: st.floats(allow_nan=False, allow_infinity=False),
+    kd.BOOL: st.booleans(),
+    kd.INT_LIST: st.lists(st.integers(1, 10**6), min_size=1, max_size=5).map(tuple),
+    kd.DIMS: st.tuples(*[st.integers(1, 10**4)] * 3),
+    kd.SHAPE: st.tuples(*[st.integers(1, 10**4)] * 2),
+    kd.STR: st.text(_NAME + " =,", max_size=20).map(str.strip),
+    kd.PATH: st.text(_NAME, max_size=20),
+    kd.NAMES: st.lists(st.text(_NAME, min_size=1, max_size=8), min_size=1, max_size=3).map(tuple),
 }
 
 
@@ -614,4 +615,4 @@ def test_table_values_round_trip_through_the_reader(data):
     kind = table[key][0]
     value = data.draw(_VALUES[kind])
     text = f"# header\n\n  {key} =  {kind.format(value)}  # trailing\n"
-    assert mc.read_config(text, table, "t") == {key: (value, 3)}
+    assert kd.read_config(text, table, "t") == {key: (value, 3)}

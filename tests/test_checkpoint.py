@@ -67,3 +67,13 @@ def test_float64_saved_as_float32(tmp_path):
     save_checkpoint(path, {"x": np.array([1.0000001], dtype=np.float64)})
     back = load_checkpoint(path)
     assert back["x"].dtype == np.float32
+
+
+def test_non_utf8_name_reports_offset(tmp_path):
+    path = tmp_path / "name.vfwt"
+    save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    raw[12] = 0xFF  # the name's one byte, after magic, header and name length
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="tensor 0 name at offset 12 is not UTF-8"):
+        load_checkpoint(path)

@@ -241,6 +241,30 @@ class TestErrorPaths:
         assert code == 2
         assert "VOLFORMER_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value", [("age", "nan"), ("bmi", "inf")])
+    def test_non_finite_cohort_value_exits_3(self, tmp_path, cohort_dir, capsys, column, value):
+        lines = (cohort_dir / "cohort.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[4].split(",")
+        cells[header.index(column)] = value
+        lines[4] = ",".join(cells)
+        bad = tmp_path / "cohort.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run("label", "--cohort", bad, "--out", tmp_path / "labels") == 3
+        err = capsys.readouterr().err
+        assert err == (f"volformer: data error: {bad} line 5: bad {column} value '{value}' "
+                       "(expects a finite number)\n")
+        assert not (tmp_path / "labels").exists()
+
+    def test_non_utf8_experiment_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"epochs = 2\n# caf\xe9\n")
+        code = run("train", "--config", cfg, "--out", tmp_path / "run",
+                   "--model-preset", "toy-2d-trf")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot read experiment config" in err
+
     def test_dead_fold_worker_exits_3(self, tmp_path, cohort_dir, monkeypatch, capsys):
         class DeadPool:
             def __init__(self, *args, **kwargs):
@@ -648,6 +672,56 @@ class TestTrainEvaluate:
                    "--out", tmp_path / "eval", "--n-boot", 100) == 3
         assert "fold_2.vfwt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["config", "outputs", "config.model_config_text",
+                                       "config.crop", "config.factors",
+                                       "config.holdout_institution"])
+    def test_evaluate_manifest_without_a_field_exits_3(self, tmp_path, cohort_dir, trained_dir,
+                                                       capsys, field):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        manifest = read_manifest(run_dir / "manifest_train.json")
+        owner, _, key = field.rpartition(".")
+        del (manifest[owner] if owner else manifest)[key]
+        (run_dir / "manifest_train.json").write_text(json.dumps(manifest))
+        assert run("evaluate", "--snapshots", run_dir, "--cohort", cohort_dir / "cohort.csv",
+                   "--out", tmp_path / "eval", "--n-boot", 100) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{run_dir / 'manifest_train.json'}: field {field} is missing" in err
+
+    @pytest.mark.parametrize("text", ["{\"config\": ", "", "\udcff"])
+    def test_evaluate_manifest_not_json_exits_3(self, tmp_path, cohort_dir, trained_dir, capsys,
+                                                text):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        (run_dir / "manifest_train.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert run("evaluate", "--snapshots", run_dir, "--cohort", cohort_dir / "cohort.csv",
+                   "--out", tmp_path / "eval", "--n-boot", 100) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{run_dir / 'manifest_train.json'}: not a JSON manifest" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("holdout_institution", "inst_c"), ("crop", [40, 40, 16]), ("factors", [1, 1, 1]),
+        ("model_config_text", "family = 2d_fc\n"),
+    ])
+    def test_evaluate_refuses_manifests_of_two_runs(self, tmp_path, cohort_dir, trained_dir,
+                                                    capsys, key, value):
+        # an older single-fold run left its manifest and checkpoint behind
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        shutil.copy(run_dir / "fold_0.vfwt", run_dir / "fold_3.vfwt")
+        manifest = read_manifest(run_dir / "manifest_train.json")
+        manifest["config"][key] = value
+        manifest["outputs"] = [str(run_dir / "fold_3.vfwt")]
+        (run_dir / "manifest_train_fold3.json").write_text(json.dumps(manifest))
+        assert run("evaluate", "--snapshots", run_dir, "--cohort", cohort_dir / "cohort.csv",
+                   "--out", tmp_path / "eval", "--n-boot", 100) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"manifest_train_fold3.json and manifest_train.json disagree on config.{key}" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_curves_from_predictions(self, tmp_path, cohort_dir, trained_dir):
         eval_dir = tmp_path / "eval2"
         assert run("evaluate", "--snapshots", trained_dir,
@@ -664,6 +738,24 @@ class TestTrainEvaluate:
         bad.write_text("a,b\n1,2\n")
         assert run("curves", "--predictions", bad, "--out", tmp_path / "c") == 3
 
+
+    @pytest.mark.parametrize("row, message", [
+        ("k1,7,0.2,0.3,0.5", "line 3: bad label value '7' (expects an integer in 0..2)"),
+        ("k1,-1,0.2,0.3,0.5", "line 3: bad label value '-1' (expects an integer in 0..2)"),
+        ("k1,1,nan,0.3,0.5", "line 3: bad p_none value 'nan' (expects a probability in 0..1)"),
+        ("k1,1,0.1,0.3,0.5", "line 3: probabilities sum to 0.9"),
+        ("k1,1,0.2,,0.5", "line 3: p_slow is required"),
+        ("k1,1,0.2,0.3", "line 3: expected 5 columns, got 4"),
+    ])
+    def test_curves_bad_row_exits_3_with_one_line(self, tmp_path, capsys, row, message):
+        preds = tmp_path / "predictions.csv"
+        preds.write_text(f"knee_id,label,p_none,p_slow,p_fast\nk0,0,0.7,0.2,0.1\n{row}\n"
+                         "k2,2,0.1,0.1,0.8\n")
+        assert run("curves", "--predictions", preds, "--out", tmp_path / "c") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"volformer: data error: {preds} {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "c").exists()
 
 class TestProfileCommand:
     def test_full_scale_report(self, tmp_path):

@@ -330,3 +330,59 @@ class TestCohortCsv:
         back = read_cohort_csv(path)
         assert back[0].bmi is None
         assert back[0].klg_by_month == {0: 1}
+
+    def test_header_is_the_column_table(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        write_cohort_csv([knee({0: 1})], path)
+        assert path.read_bytes().split(b"\r\n")[0] == (
+            b"subject_id,side,institution_id,age,sex,bmi,tka_baseline,"
+            b"klg_m0,klg_m12,klg_m24,klg_m36,klg_m48,klg_m72,klg_m96")
+
+    @pytest.mark.parametrize("column, value", [("age", "nan"), ("age", "inf"),
+                                               ("bmi", "inf"), ("bmi", "-inf"), ("bmi", "nan")])
+    def test_non_finite_number_reports_line(self, tmp_path, column, value):
+        path = tmp_path / "cohort.csv"
+        write_cohort_csv([knee({0: 1, 96: 1}), knee({0: 1, 96: 2}, side="R")], path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[{"age": 3, "bmi": 5}[column]] = value
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"cohort.csv line 3: bad {column} value '{value}'"):
+            read_cohort_csv(path)
+
+    @pytest.mark.parametrize("cell, expected", [("yes", True), ("no", False), ("TRUE", True),
+                                                ("false", False), ("1", True), ("", False)])
+    def test_tka_baseline_reads_as_bool(self, tmp_path, cell, expected):
+        path = tmp_path / "cohort.csv"
+        write_cohort_csv([knee({0: 1})], path)
+        path.write_text(path.read_text().replace("27.0,0,", f"27.0,{cell},"))
+        assert read_cohort_csv(path)[0].tka_baseline is expected
+
+    @pytest.mark.parametrize("column", ["subject_id", "side", "institution_id", "age"])
+    def test_required_cell_missing_reports_line(self, tmp_path, column):
+        path = tmp_path / "cohort.csv"
+        write_cohort_csv([knee({0: 1})], path)
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = ""
+        path.write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
+        with pytest.raises(DataError, match=f"line 2: {column} is required"):
+            read_cohort_csv(path)
+
+    def test_wrong_column_count_and_blank_lines(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        write_cohort_csv([knee({0: 1})], path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", lines[1], " , ", lines[1] + ",extra"]) + "\n")
+        with pytest.raises(DataError, match="line 5: expected 14 columns, got 15"):
+            read_cohort_csv(path)
+        path.write_text("\n".join([lines[0], "", lines[1], " , "]) + "\n")
+        assert len(read_cohort_csv(path)) == 1
+
+    def test_non_utf8_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        write_cohort_csv([knee({0: 1})], path)
+        path.write_bytes(path.read_bytes().replace(b"S1", b"S\xff"))
+        with pytest.raises(DataError, match="cohort.csv: unreadable CSV"):
+            read_cohort_csv(path)
