@@ -56,7 +56,7 @@ PRESETS = "from volformer.presets import PRESETS; print('\\n'.join(PRESETS))"
 def run_sequence(tree, work):
     """Run ``STEPS`` and a ``profile`` of every preset with ``tree``'s code."""
     env = dict(os.environ, **BLAS_ENV, PYTHONPATH=str(Path(tree) / "src"))
-    env.pop("VOLFORMER_THREADS", None)
+    env.pop("VOLFORMER_THREADS", None)  # older revisions cap the fold pool by it
     presets = subprocess.run([sys.executable, "-c", PRESETS], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
     Path(work).mkdir()

@@ -393,7 +393,6 @@ class ModelGraph:
 
     config: ModelConfig
     module: Module
-    seed: int
 
     @property
     def input_spec(self):
@@ -431,4 +430,4 @@ def build_model(cfg: ModelConfig, seed=0, dtype=np.float32) -> ModelGraph:
         raise ShapeError(f"model outputs {out.shape}, expected ({cfg.num_classes},)")
     if cfg.init_mode == "weights_file":
         module.load_state_dict(load_checkpoint(cfg.weights_file))
-    return ModelGraph(config=cfg, module=module, seed=seed)
+    return ModelGraph(config=cfg, module=module)

@@ -471,22 +471,20 @@ def batch_norm(x, gamma, beta, axes, eps=1e-5):
     return out, mu, var
 
 
-def layer_norm(x, gamma, beta, eps=1e-5, axis=-1):
-    """Normalize to zero mean / unit variance along ``axis``, then affine."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
+def layer_norm(x, gamma, beta):
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if recorder is not None:
         return _meta_like(x, gamma, beta)
-    mu = x.data.mean(axis=axis, keepdims=True)
-    var = x.data.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * inv
 
     def grad_x(g):
         gx = g * gamma.data
-        m1 = gx.mean(axis=axis, keepdims=True)
-        m2 = (gx * xhat).mean(axis=axis, keepdims=True)
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
         return inv * (gx - m1 - xhat * m2)
 
     return _op((x, gamma, beta), xhat * gamma.data + beta.data,

@@ -41,24 +41,34 @@ def _read_exact(fh, n, what):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back as an ordered dict of name -> float32 array."""
-    out = {}
+    """Read a checkpoint back as an ordered dict of name -> float32 array.
+    A CheckpointError names ``path`` first."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != MAGIC:
-            raise CheckpointError(f"bad magic {magic!r} at offset 0 (expected {MAGIC!r})")
-        version, count = struct.unpack("<HI", _read_exact(fh, 6, "header"))
-        if version != VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        for i in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"tensor {i} name length"))
-            try:
-                name = _read_exact(fh, name_len, f"tensor {i} name").decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(f"tensor {i} name at offset {fh.tell() - name_len} is not UTF-8") from None
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} ndim"))
-            dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} dims"))
-            n = int(np.prod(dims)) if ndim else 1
-            payload = _read_exact(fh, 4 * n, f"{name} payload")
-            out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        try:
+            return _read_tensors(fh)
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _read_tensors(fh):
+    out = {}
+    magic = _read_exact(fh, 4, "magic")
+    if magic != MAGIC:
+        raise CheckpointError(f"bad magic {magic!r} at offset 0 (expected {MAGIC!r})")
+    version, count = struct.unpack("<HI", _read_exact(fh, 6, "header"))
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    for i in range(count):
+        (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"tensor {i} name length"))
+        try:
+            name = _read_exact(fh, name_len, f"tensor {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor {i} name at offset {fh.tell() - name_len} is not UTF-8") from None
+        (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} ndim"))
+        dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} dims"))
+        n = int(np.prod(dims)) if ndim else 1
+        payload = _read_exact(fh, 4 * n, f"{name} payload")
+        out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    if fh.read(1):
+        raise CheckpointError(f"trailing bytes after the last tensor at offset {fh.tell() - 1}")
     return out

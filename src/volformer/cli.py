@@ -57,7 +57,6 @@ from .manifest import (
     write_manifest,
 )
 from .kinds import (
-    BOOL,
     DIMS,
     FLOAT,
     NONNEG_INT,
@@ -72,7 +71,7 @@ from .kinds import (
 )
 from .modelconfig import format_model_config, load_model_config, parse_model_config
 from .presets import preset_config
-from .profiler import count_macs, time_inference
+from .profiler import count_macs
 from .synth import SynthSpec, synth_generate
 from .training import FoldData, TrainConfig, history_to_csv, train_fold
 from .volume import (
@@ -87,7 +86,7 @@ EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED = 0, 2, 3, 4
 
 # predictions.csv, written by ``evaluate`` and read by ``curves``: the class
 # label and the three class probabilities of each hold-out knee
-PROBS = ("p_none", "p_slow", "p_fast")
+PROBS = tuple(f"p_{name}" for name in CLASS_NAMES.values())
 PREDICTION_COLUMNS = {"knee_id": STR, "label": int_in(0, len(CLASS_NAMES) - 1),
                       **dict.fromkeys(PROBS, PROB)}
 
@@ -242,8 +241,6 @@ def cmd_train(args, run):
     cfg = load_experiment_config(args.config, {k: v for k, v in vars(args).items()
                                                if k in EXPERIMENT_KEYS})
     model_cfg, train_cfg = _experiment_pieces(cfg)
-    raw_cap = os.environ.get("VOLFORMER_THREADS")  # a cap on fold workers when set
-    thread_cap = POS_INT.parse(raw_cap, "VOLFORMER_THREADS") if raw_cap else None
     run.input(cfg["cohort"], cfg["volumes"])
 
     kept, excluded = _load_labelled(cfg["cohort"], cfg["volumes"])
@@ -269,7 +266,7 @@ def cmd_train(args, run):
             val=samples.subset([index_of[k] for k in val_ids]))
         jobs.append((model_cfg, fold_data, fold_index, train_cfg, str(out)))
 
-    workers = min(cfg["parallel_folds"], len(jobs), thread_cap or cfg["parallel_folds"])
+    workers = min(cfg["parallel_folds"], len(jobs))
     if workers > 1:
         # spawn fresh interpreters with single-threaded BLAS: fold workers
         # oversubscribe the cores otherwise and parallelism buys nothing
@@ -393,7 +390,7 @@ def cmd_evaluate(args, run):
     with atomic_writer(pred_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(PREDICTION_COLUMNS) + "\n")
         for kid, label, p in zip(pred.knee_ids, pred.labels, pred.probs):
-            fh.write(f"{kid},{label},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
+            fh.write(",".join([kid, str(label), *(repr(float(v)) for v in p)]) + "\n")
     run.outputs = [report_path, pred_path] + list(export_curves(pred, out).values())
     run.seeds = {"seed": args.seed}
     print(f"evaluate: AP {report.ap:.3f} +/- {report.ap_std:.3f}, "
@@ -439,13 +436,10 @@ def cmd_profile(args, run):
     payload = report.to_dict()
     payload["family"] = model_cfg.family
     payload["views"] = list(model_cfg.views)
-    if args.time:
-        payload["timing"] = time_inference(graph, input_spec).to_dict()
     out = Path(args.out)
     run.output_dir(out.parent)
     write_json(out, payload)
-    run.config = {"preset": args.preset, "config": args.config,
-                  "input": args.input, "timed": args.time}
+    run.config = {"preset": args.preset, "config": args.config, "input": args.input}
     run.outputs = [out]
     print(f"profile: {payload['total_macs'] / 1e9:.2f} GMACs, "
           f"{payload['total_params'] / 1e6:.2f} M params -> {out}")
@@ -586,7 +580,6 @@ COMMANDS = {
         Flag("--input", help="override input spec: KxHxW for every view, "
                              "or view=KxHxW,... per view"),
         Flag("--out", PATH, default="report.json"),
-        Flag("--time", BOOL, action="store_true", help="also time single-sample inference"),
     )),
     "curves": ("export ROC/PR/confusion CSVs from predictions", cmd_curves, (
         Flag("--predictions", PATH, required=True),

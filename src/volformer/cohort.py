@@ -234,16 +234,19 @@ def resample_balance(train_indices, labels, rng):
 
 
 def read_cohort_csv(path):
-    records = []
+    records, line_of = [], {}  # knee id -> the line that gave it
     for line_no, row in read_table(path, COLUMNS):
         if missing := [c for c in REQUIRED if row[c] is None]:
             raise DataError(f"{path} line {line_no}: {missing[0]} is required")
-        records.append(KneeRecord(
+        record = KneeRecord(
             **{c: row[c] for c in ("subject_id", "side", "institution_id", "age", "sex", "bmi")},
             tka_baseline=bool(row["tka_baseline"]),
             klg_by_month={m: row[f"klg_m{m}"] for m in VISIT_MONTHS
                           if row[f"klg_m{m}"] is not None},
-        ))
+        )
+        if (first := line_of.setdefault(record.knee_id, line_no)) != line_no:
+            raise DataError(f"{path} line {line_no}: knee {record.knee_id} repeats line {first}")
+        records.append(record)
     return records
 
 

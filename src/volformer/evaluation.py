@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import CLASS_NAMES
+from .cohort import CLASS_FAST, CLASS_NAMES, CLASS_SLOW
 from .errors import ConfigError, UsageError
 from .manifest import atomic_writer
 
@@ -23,9 +23,9 @@ from .manifest import atomic_writer
 def pool_progression(probs):
     """Collapse (none, slow, fast) probabilities to P(progression) = slow + fast."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape[-1] != 3:
+    if probs.shape[-1] != len(CLASS_NAMES):
         raise ConfigError(f"expected probability triples, got shape {probs.shape}")
-    return probs[..., 1] + probs[..., 2]
+    return probs[..., CLASS_SLOW] + probs[..., CLASS_FAST]
 
 
 def _validate_binary(scores, labels):
@@ -122,7 +122,7 @@ class PredictionSet:
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=int)
-        if self.probs.shape != (len(self.knee_ids), 3):
+        if self.probs.shape != (len(self.knee_ids), len(CLASS_NAMES)):
             raise ConfigError(f"probs must be (N, 3), got {self.probs.shape}")
         if not np.allclose(self.probs.sum(axis=1), 1.0, atol=1e-6):
             raise ConfigError("probability triples must sum to 1")
@@ -213,14 +213,13 @@ def export_curves(pred: PredictionSet, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     scores, binary = pred.pooled, pred.binary_labels
     _, matrix = balanced_accuracy_and_confusion(pred.probs.argmax(axis=1), pred.labels)
-    classes = ["none", "slow", "fast"]
     tables = {
         "roc": (["threshold", "fpr", "tpr"],
                 [[repr(v) for v in row] for row in roc_curve_points(scores, binary)]),
         "pr": (["threshold", "recall", "precision"],
                [[repr(v) for v in row] for row in pr_curve_points(scores, binary)]),
-        "confusion": (["true\\pred"] + classes,
-                      [[classes[c]] + [int(v) for v in row] for c, row in enumerate(matrix)]),
+        "confusion": (["true\\pred", *CLASS_NAMES.values()],
+                      [[CLASS_NAMES[c]] + [int(v) for v in row] for c, row in enumerate(matrix)]),
     }
     paths = {}
     for name, (header, rows) in tables.items():

@@ -1,7 +1,7 @@
 """Typed text input. A ``Kind`` casts raw text to a value and formats it
-back; flags and ``VOLFORMER_THREADS`` are read through one, ``key = value``
-files through a key table (``read_config``: a bad line is a ConfigError) and
-CSV tables through a column table (``read_table``: a bad row is a DataError).
+back; flags are read through one, ``key = value`` files through a key table
+(``read_config``: a bad line is a ConfigError) and CSV tables through a
+column table (``read_table``: a bad row is a DataError).
 """
 
 from __future__ import annotations

@@ -1,5 +1,4 @@
-"""Analytic MACs / parameter counting over model graphs plus a wall-clock
-single-sample inference timer.
+"""Analytic MACs / parameter counting over model graphs.
 
 Counts come from one shape-only, eval-mode forward of the real model
 (``nn.shape_pass``): only ``conv_nd`` and ``matmul`` cost MACs, taken from
@@ -14,12 +13,7 @@ is first used, and no parameter value is ever read or made.
 
 from __future__ import annotations
 
-import platform
-import statistics
-import time
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from .architectures import AGGREGATORS, ModelGraph
 from .errors import ConfigError
@@ -76,47 +70,3 @@ def count_params(graph: ModelGraph) -> CostReport:
             f"layer table params {report.total_params} disagree with "
             f"parameter registry {direct}")
     return report
-
-
-@dataclass
-class TimingReport:
-    median_ms: float
-    iqr_ms: float
-    runs: int
-    warmup: int
-    runnable: bool
-    hardware: str
-    note: str = ""
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def _hardware_descriptor():
-    return (f"{platform.machine()} / {platform.system()} "
-            f"{platform.release()} / python {platform.python_version()} "
-            f"/ numpy {np.__version__}")
-
-
-def time_inference(graph: ModelGraph, input_spec=None, warmup=5, runs=30, seed=0):
-    """Median single-sample forward latency (post-warmup) with IQR."""
-    spec = dict(input_spec) if input_spec else graph.input_spec
-    rng = np.random.default_rng(seed)
-    sample = {v: rng.random(shape).astype(np.float32) for v, shape in spec.items()}
-    try:
-        graph.predict_proba(sample)  # materializes parameters outside timing
-        times = []
-        for i in range(warmup + runs):
-            t0 = time.perf_counter()
-            graph.predict_proba(sample)
-            if i >= warmup:
-                times.append((time.perf_counter() - t0) * 1e3)
-    except MemoryError:
-        return TimingReport(
-            median_ms=float("nan"), iqr_ms=float("nan"), runs=0, warmup=warmup,
-            runnable=False, hardware=_hardware_descriptor(),
-            note="not runnable at this scale")
-    q1, med, q3 = statistics.quantiles(times, n=4)
-    return TimingReport(
-        median_ms=med, iqr_ms=q3 - q1, runs=runs, warmup=warmup,
-        runnable=True, hardware=_hardware_descriptor())

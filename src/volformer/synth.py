@@ -11,7 +11,7 @@ the label-derivation rules and are verified against them before emission.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .volume import Volume
 # reference cohort composition: 3551 non-progressors, 941 fast and
 # 374 slow progressors out of 4866 knees
 DEFAULT_CLASS_PROBS = {CLASS_NONE: 3551 / 4866, CLASS_SLOW: 374 / 4866, CLASS_FAST: 941 / 4866}
+BASE_THICKNESS = 10.0  # voxels, class-0 cartilage band
+THINNING_PER_CLASS = 0.35  # fractional loss per severity step
+NOISE_STD = 6.0
 
 INSTITUTIONS = ("inst_a", "inst_b", "inst_c", "inst_d")
 INSTITUTION_WEIGHTS = (0.35, 0.30, 0.20, 0.15)
@@ -31,17 +34,6 @@ INSTITUTION_WEIGHTS = (0.35, 0.30, 0.20, 0.15)
 class SynthSpec:
     dims: tuple = (64, 64, 32)
     spacing: tuple = (1.0, 1.0, 1.0)
-    class_probs: dict = field(default_factory=lambda: dict(DEFAULT_CLASS_PROBS))
-    base_thickness: float = 10.0  # voxels, class-0 cartilage band
-    thinning_per_class: float = 0.35  # fractional loss per severity step
-    noise_std: float = 6.0
-
-    def validate(self):
-        if abs(sum(self.class_probs.values()) - 1.0) > 1e-9:
-            raise ConfigError(f"class_probs must sum to 1, got {self.class_probs}")
-        if self.base_thickness <= 0 or not 0 <= self.thinning_per_class < 0.5:
-            raise ConfigError("implausible phantom geometry parameters")
-        return self
 
 
 def _severity(progression_class):
@@ -58,10 +50,10 @@ def make_phantom(progression_class, rng, spec: SynthSpec) -> Volume:
     gap_center = d0 / 2 + rng.uniform(-0.09, 0.09) * d0
     c1 = d1 / 2 + rng.uniform(-0.08, 0.08) * d1
     c2 = d2 / 2 + rng.uniform(-0.18, 0.18) * d2
-    thickness = spec.base_thickness * (1.0 - spec.thinning_per_class * _severity(progression_class))
+    thickness = BASE_THICKNESS * (1.0 - THINNING_PER_CLASS * _severity(progression_class))
     thickness *= rng.uniform(0.92, 1.08)
 
-    vol = rng.normal(22.0, spec.noise_std, size=spec.dims)
+    vol = rng.normal(22.0, NOISE_STD, size=spec.dims)
 
     def ellipsoid(c0, cc1, cc2, r0, r1, r2):
         return (((g0 - c0) / r0) ** 2 + ((g1 - cc1) / r1) ** 2 + ((g2 - cc2) / r2) ** 2) <= 1.0
@@ -127,9 +119,9 @@ def synth_generate(n_subjects, seed, spec: SynthSpec = None, out_dir=None,
     """
     if n_subjects < 1:
         raise ConfigError(f"n_subjects must be >= 1, got {n_subjects}")
-    spec = (spec or SynthSpec()).validate()
-    classes = sorted(spec.class_probs)
-    probs = [spec.class_probs[c] for c in classes]
+    spec = spec or SynthSpec()
+    classes = sorted(DEFAULT_CLASS_PROBS)
+    probs = [DEFAULT_CLASS_PROBS[c] for c in classes]
 
     if out_dir is not None and with_volumes:
         os.makedirs(out_dir, exist_ok=True)

@@ -214,43 +214,38 @@ def train_fold(model_cfg: ModelConfig, data: FoldData, fold_index, train_cfg: Tr
 
     history = []
     snapshot = None
-    try:
-        for epoch in range(train_cfg.epochs):
-            lr = lr_schedule(epoch, train_cfg)
-            resample_rng = _rng(train_cfg.seed, fold_index, epoch, 0)
-            aug_rng = _rng(train_cfg.seed, fold_index, epoch, 1)
-            drop_rng = _rng(train_cfg.seed, fold_index, epoch, 2)
-            epoch_idx = resample_balance(np.arange(len(train)), train.labels, resample_rng)
+    for epoch in range(train_cfg.epochs):
+        lr = lr_schedule(epoch, train_cfg)
+        resample_rng = _rng(train_cfg.seed, fold_index, epoch, 0)
+        aug_rng = _rng(train_cfg.seed, fold_index, epoch, 1)
+        drop_rng = _rng(train_cfg.seed, fold_index, epoch, 2)
+        epoch_idx = resample_balance(np.arange(len(train)), train.labels, resample_rng)
 
-            losses = []
-            clamps = 0
-            ctx = Ctx(training=True, rng=drop_rng)
-            for start in range(0, len(epoch_idx), train_cfg.batch_size):
-                idx = epoch_idx[start:start + train_cfg.batch_size]
-                batch = train.subset(idx)
-                inputs = _augment_batch(batch.slices, views, aug_rng, train_cfg.augment_policy)
-                logits = graph.forward(inputs, ctx)
-                probs = ag.softmax(logits, axis=-1)
-                loss = focal_loss(probs, batch.labels, train_cfg.focal_gamma)
-                clamps += int(np.sum(probs.data[np.arange(len(idx)), batch.labels] < PROB_FLOOR))
-                if not np.isfinite(loss.item()):
-                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
-                for _, tensor in named:
-                    tensor.grad = None
-                ag.backward(loss)
-                adam_step(named, adam, lr, train_cfg.weight_decay)
-                losses.append(loss.item())
+        losses = []
+        clamps = 0
+        ctx = Ctx(training=True, rng=drop_rng)
+        for start in range(0, len(epoch_idx), train_cfg.batch_size):
+            idx = epoch_idx[start:start + train_cfg.batch_size]
+            batch = train.subset(idx)
+            inputs = _augment_batch(batch.slices, views, aug_rng, train_cfg.augment_policy)
+            logits = graph.forward(inputs, ctx)
+            probs = ag.softmax(logits, axis=-1)
+            loss = focal_loss(probs, batch.labels, train_cfg.focal_gamma)
+            clamps += int(np.sum(probs.data[np.arange(len(idx)), batch.labels] < PROB_FLOOR))
+            if not np.isfinite(loss.item()):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            for _, tensor in named:
+                tensor.grad = None
+            ag.backward(loss)
+            adam_step(named, adam, lr, train_cfg.weight_decay)
+            losses.append(loss.item())
 
-            val_ap, val_auc = _validation_metrics(graph, val)
-            history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_ap, val_auc,
-                                      clamps))
-            if snapshot is None or val_ap > snapshot.val_ap:
-                snapshot = Snapshot(epoch=epoch,
-                                    state={k: v.copy() for k, v in graph.state_dict().items()},
-                                    val_ap=val_ap)
-    except DivergenceError as exc:
-        exc.history = history  # keep the partial record for post-mortems
-        raise
+        val_ap, val_auc = _validation_metrics(graph, val)
+        history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_ap, val_auc, clamps))
+        if snapshot is None or val_ap > snapshot.val_ap:
+            snapshot = Snapshot(epoch=epoch,
+                                state={k: v.copy() for k, v in graph.state_dict().items()},
+                                val_ap=val_ap)
     return snapshot, history, graph
 
 

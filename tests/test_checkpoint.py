@@ -77,3 +77,19 @@ def test_non_utf8_name_reports_offset(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="tensor 0 name at offset 12 is not UTF-8"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: b"NOPE" + raw[4:], "bad magic b'NOPE' at offset 0 (expected b'VFWT')"),
+    (lambda raw: raw[:4] + struct.pack("<H", 9) + raw[6:], "unsupported checkpoint version 9"),
+    (lambda raw: raw[:12] + b"\xff" + raw[13:], "tensor 0 name at offset 12 is not UTF-8"),
+    (lambda raw: raw[:-1], "truncated checkpoint: w payload at offset 18"),
+    (lambda raw: raw + b"\x00", "trailing bytes after the last tensor at offset 26"),
+], ids=["magic", "version", "name", "truncated", "trailing-byte"])
+def test_errors_name_the_file(tmp_path, damage, message):
+    path = tmp_path / "damaged.vfwt"
+    save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: {message}"

@@ -232,15 +232,6 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert ("resnet-9000" in err) if "--model-preset" in flags else ("absent_model" in err)
 
-    @pytest.mark.parametrize("value", ["two", "0", "-1"])
-    def test_bad_thread_cap_exits_2(self, tmp_path, cohort_dir, monkeypatch, capsys, value):
-        monkeypatch.setenv("VOLFORMER_THREADS", value)
-        code = run("train", "--cohort", cohort_dir / "cohort.csv",
-                   "--volumes", cohort_dir / "volumes", "--out", tmp_path / "run",
-                   "--model-preset", "toy-2d-trf", "--parallel-folds", 2)
-        assert code == 2
-        assert "VOLFORMER_THREADS" in capsys.readouterr().err
-
     @pytest.mark.parametrize("column, value", [("age", "nan"), ("bmi", "inf")])
     def test_non_finite_cohort_value_exits_3(self, tmp_path, cohort_dir, capsys, column, value):
         lines = (cohort_dir / "cohort.csv").read_text().splitlines()
@@ -254,6 +245,16 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == (f"volformer: data error: {bad} line 5: bad {column} value '{value}' "
                        "(expects a finite number)\n")
+        assert not (tmp_path / "labels").exists()
+
+    def test_repeated_knee_exits_3(self, tmp_path, cohort_dir, capsys):
+        lines = (cohort_dir / "cohort.csv").read_text().splitlines()
+        bad = tmp_path / "cohort.csv"
+        bad.write_text("\n".join(lines + [lines[1]]) + "\n")
+        assert run("label", "--cohort", bad, "--out", tmp_path / "labels") == 3
+        subject, side = lines[1].split(",")[:2]
+        assert capsys.readouterr().err == (f"volformer: data error: {bad} line {len(lines) + 1}: "
+                                           f"knee {subject}_{side} repeats line 2\n")
         assert not (tmp_path / "labels").exists()
 
     def test_non_utf8_experiment_config_exits_2(self, tmp_path, capsys):
@@ -279,7 +280,6 @@ class TestErrorPaths:
             def map(self, fn, jobs):
                 raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
-        monkeypatch.delenv("VOLFORMER_THREADS", raising=False)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", DeadPool)
         threads_before = os.environ.get("OMP_NUM_THREADS")
         code = run("train", "--cohort", cohort_dir / "cohort.csv",
@@ -664,6 +664,22 @@ class TestTrainEvaluate:
                    "--out", tmp_path / "eval", "--n-boot", 100) == 3
         assert dropped in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[:12] + b"\xff" + raw[13:],  # a first name byte that is not UTF-8
+        lambda raw: raw[:-5],  # the last payload cut short
+        lambda raw: raw + b"\x00",  # a byte after the last tensor
+    ], ids=["name", "truncated", "trailing-byte"])
+    def test_evaluate_names_a_damaged_checkpoint(self, tmp_path, cohort_dir, trained_dir,
+                                                 capsys, damage):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        ckpt = run_dir / "fold_1.vfwt"
+        ckpt.write_bytes(damage(ckpt.read_bytes()))
+        assert run("evaluate", "--snapshots", run_dir, "--cohort", cohort_dir / "cohort.csv",
+                   "--out", tmp_path / "eval", "--n-boot", 100) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"volformer: data error: {ckpt}: ")
+
     def test_evaluate_requires_listed_checkpoints(self, tmp_path, cohort_dir, trained_dir, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(trained_dir, run_dir)
@@ -807,13 +823,6 @@ class TestProfileCommand:
         assert run("profile", "--preset", preset, "--input", spec, "--out", out) == 2
         assert "--input" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_profile_with_timing(self, tmp_path):
-        out = tmp_path / "timed.json"
-        assert run("profile", "--preset", "toy-2d-trf", "--time", "--out", out) == 0
-        report = json.loads(out.read_text())
-        assert report["timing"]["runnable"] is True
-        assert report["timing"]["median_ms"] < 1000
 
     def test_profile_from_config_file(self, tmp_path):
         cfg = tmp_path / "model.cfg"

@@ -380,6 +380,13 @@ class TestCohortCsv:
         path.write_text("\n".join([lines[0], "", lines[1], " , "]) + "\n")
         assert len(read_cohort_csv(path)) == 1
 
+    def test_repeated_knee_names_both_lines(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        write_cohort_csv([knee({0: 1, 96: 1}), knee({0: 1, 96: 2}, side="R"),
+                          knee({0: 2, 96: 3})], path)
+        with pytest.raises(DataError, match="cohort.csv line 4: knee S1_L repeats line 2$"):
+            read_cohort_csv(path)
+
     def test_non_utf8_file_is_a_data_error(self, tmp_path):
         path = tmp_path / "cohort.csv"
         write_cohort_csv([knee({0: 1})], path)

@@ -615,7 +615,3 @@ class TestSynthCohort:
                     for i in range(12)]
             means[cls] = np.mean([v.voxels.mean() for v in vols])
         assert means[CLASS_NONE] > means[CLASS_SLOW] > means[CLASS_FAST]
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ConfigError):
-            SynthSpec(class_probs={0: 0.5, 1: 0.2, 2: 0.2}).validate()

@@ -8,7 +8,7 @@ from volformer.architectures import build_model, resnet50
 from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.nn import Conv, Linear, ParamInit, shape_pass
 from volformer.presets import PRESETS, full_scale_config, preset_config, toy_config
-from volformer.profiler import count_macs, count_params, time_inference
+from volformer.profiler import count_macs, count_params
 
 # (MACs, parameters) of every preset at its own input shape
 PROFILE_TOTALS = {
@@ -198,33 +198,3 @@ class TestParamCounting:
         token_rows = [r for r in report.rows if r.kind == "embedding"]
         d = cfg.aggregator.model_dim
         assert sum(r.params for r in token_rows) == d + (8 + 1) * d  # cls + positional
-
-
-class TestTiming:
-    def test_toy_inference_under_one_second(self):
-        graph = build_model(toy_config("2d_trf"))
-        report = time_inference(graph, warmup=2, runs=10)
-        assert report.runnable
-        assert report.median_ms < 1000.0
-        assert report.hardware
-
-    def test_timing_stability_gate(self):
-        # wall-clock gate: retry a couple of times to ride out scheduler noise
-        graph = build_model(toy_config("2d_trf"))
-        ratios = []
-        for _ in range(3):
-            report = time_inference(graph, warmup=5, runs=30)
-            ratios.append(report.iqr_ms / report.median_ms)
-            if ratios[-1] < 0.3:
-                return
-        pytest.fail(f"IQR/median stayed at {ratios} >= 0.3 across retries")
-
-    def test_timing_monotone_in_slice_count(self):
-        for _ in range(3):
-            t8 = time_inference(build_model(toy_config("2d_trf", slice_count=8)),
-                                warmup=3, runs=15)
-            t16 = time_inference(build_model(toy_config("2d_trf", slice_count=16)),
-                                 warmup=3, runs=15)
-            if t16.median_ms > t8.median_ms:
-                return
-        pytest.fail(f"k=16 ({t16.median_ms:.2f} ms) not slower than k=8 ({t8.median_ms:.2f} ms)")
