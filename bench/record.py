@@ -13,7 +13,8 @@ machine's speed falls on both sides. Each metric of
 quartiles over the pairs, and the number of pairs the change won (strictly
 better in the metric's direction). The record also holds the machine
 descriptor and a one-thread float32 sgemm rate measured before the first
-pair and after the last.
+pair, before every pair (kept per workload, pair by pair) and after the
+last, so a drift of the machine's speed within the session shows.
 
 Before the pairs, each side's start-up is timed in fresh processes, 9 runs
 with the sides alternating: ``python -c "import volformer.cli"`` and the bare
@@ -39,7 +40,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 2  # 2 added the "startup" block; records of schema 1 have none
+SCHEMA = 3  # 2 added the "startup" block, 3 each workload's per-pair sgemm rates
 SIDES = ("parent", "change")
 BLAS_ENV = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                              "NUMEXPR_NUM_THREADS")}
@@ -151,7 +152,7 @@ def check_schema(doc):
         need(s["q1"] <= s["median"] <= s["q3"], f"{what} quartiles")
         need(len(s["values"]) == n, f"{what} values")
 
-    need(doc.get("schema") in (1, SCHEMA), f"schema is not 1 or {SCHEMA}")
+    need(doc.get("schema") in range(1, SCHEMA + 1), f"schema is not 1 to {SCHEMA}")
     for key in ("tag", "command", "machine", "revisions", "sgemm_gmac_per_s", "workloads"):
         need(key in doc, f"missing {key!r}")
     if doc["schema"] >= 2:
@@ -168,6 +169,9 @@ def check_schema(doc):
         need(key in doc["machine"], f"machine lacks {key!r}")
     for name, wl in doc["workloads"].items():
         need(len(wl["seeds"]) == len(wl["parent_first"]) >= 1, f"{name}: seeds/order")
+        if doc["schema"] >= 3:
+            need(len(wl.get("sgemm_gmac_per_s", ())) == len(wl["seeds"]),
+                 f"{name}: one sgemm rate per pair")
         for side in SIDES:
             need(len(wl["runs"][side]) == len(wl["seeds"]), f"{name}: {side} runs")
             for run in wl["runs"][side]:
@@ -240,7 +244,9 @@ def main(argv=None):
         for workload in args.workload:
             seeds = list(range(args.first_seed, args.first_seed + args.pairs))
             runs = {side: [] for side in SIDES}
+            sgemm = []
             for i, seed in enumerate(seeds):
+                sgemm.append(sgemm_gmac_per_s())
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     t0 = time.monotonic()
                     runs[side].append(run_once(trees[side], workload, seed, seconds))
@@ -248,7 +254,7 @@ def main(argv=None):
                           f"correct {runs[side][-1]['correct']}", file=sys.stderr)
             doc["workloads"][workload] = {
                 "seeds": seeds, "parent_first": [i % 2 == 0 for i in range(len(seeds))],
-                "runs": runs, "metrics": summarize(runs, spec)}
+                "sgemm_gmac_per_s": sgemm, "runs": runs, "metrics": summarize(runs, spec)}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     doc["sgemm_gmac_per_s"]["end"] = sgemm_gmac_per_s()

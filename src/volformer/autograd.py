@@ -2,8 +2,11 @@
 
 Tensors wrap row-major numpy arrays. Every differentiable op returns a new
 Tensor holding a backward closure; calling :func:`backward` on a scalar loss
-walks the recorded graph once in reverse topological order and accumulates
-gradients into ``.grad`` of every reachable tensor that requires them.
+walks the recorded graph in reverse topological order and accumulates
+gradients into ``.grad`` of every reachable leaf that requires them. A
+graph is walked once: each interior node lets go of its gradient, closure
+and parents as soon as its closure has run, so only leaves keep ``.grad``
+and a second walk raises.
 An op states its forward value and, per operand, a map from the output's
 gradient to that operand's; :func:`_op` writes the closure from them.
 ``batch_norm`` writes its own, as its three gradients share two reductions.
@@ -716,11 +719,22 @@ def global_avg_pool(x):
 # backward pass
 
 
-def backward(root):
-    """Populate gradients of every reachable requires_grad tensor.
+def _released(out):
+    """The ``_backward`` of a node whose closure :func:`backward` has run:
+    its graph is gone, so walking it again is an error."""
+    raise UsageError("an earlier backward released this graph; build it again to take "
+                     "another gradient")
 
-    Repeated calls without zeroing accumulate, matching sum-over-paths
-    semantics for shared subexpressions.
+
+def backward(root):
+    """Populate ``.grad`` of every reachable leaf that requires a gradient.
+
+    The graph is walked once: after a node's closure has run, the node drops
+    its gradient, its closure (``_backward`` becomes :func:`_released`) and
+    its parents, so the arrays only the graph held are freed as the walk
+    goes; every node keeps ``.data``. Only leaves keep ``.grad``, and they
+    accumulate across separate graphs until zeroed. A second walk over a
+    released node raises :class:`UsageError` before any closure runs.
     """
     if not isinstance(root, Tensor):
         raise UsageError("backward root must be a Tensor")
@@ -739,6 +753,8 @@ def backward(root):
             continue
         if id(node) in visited:
             continue
+        if node._backward is _released:
+            _released(node)
         visited.add(id(node))
         stack.append((node, True))
         for p in node._prev:
@@ -746,6 +762,10 @@ def backward(root):
                 stack.append((p, False))
 
     root.accumulate_grad(np.ones_like(root.data))
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node)
+            node.grad = None
+            node._prev = ()
+            node._backward = _released

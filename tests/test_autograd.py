@@ -447,6 +447,24 @@ class TestBackward:
         ag.backward(loss2)
         np.testing.assert_allclose(x.grad, 2 * first)
 
+    def test_second_walk_of_the_same_root_raises(self):
+        x = t64([1.0, 2.0])
+        loss = (ag.exp(x) * 3.0).sum()
+        ag.backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(UsageError, match="earlier backward released"):
+            ag.backward(loss)
+        np.testing.assert_array_equal(x.grad, first)  # no closure ran
+
+    def test_second_loss_on_a_walked_forward_raises(self):
+        x = t64([1.0, 2.0])
+        h = ag.exp(x) * 3.0
+        ag.backward(h.sum())
+        first = x.grad.copy()
+        with pytest.raises(UsageError, match="earlier backward released"):
+            ag.backward((h * h).sum())
+        np.testing.assert_array_equal(x.grad, first)
+
     def test_non_scalar_root_rejected(self):
         with pytest.raises(UsageError, match="scalar"):
             ag.backward(t64(np.ones(3)) * 2.0)

@@ -34,6 +34,7 @@ def fake_doc():
             "machine": record.machine(), "sgemm_gmac_per_s": {"start": 50.0, "end": 49.0},
             "startup": startup,
             "workloads": {"prep-views": {"seeds": [1, 2, 3], "parent_first": [True, False, True],
+                                         "sgemm_gmac_per_s": [50.0, 48.5, 49.5],
                                          "runs": runs, "metrics": record.summarize(runs, SPEC)}}}
 
 
@@ -56,8 +57,11 @@ def test_schema_accepts_a_written_record():
     assert doc["startup"]["parent"]["import_s"] == {
         "median": 0.58, "q1": 0.575, "q3": 0.595, "values": [0.58, 0.61, 0.57]}
     old = fake_doc()
-    old.update(schema=1)
+    old.update(schema=2)
+    del old["workloads"]["prep-views"]["sgemm_gmac_per_s"]
+    assert record.check_schema(old) is old  # records before the per-pair probes
     del old["startup"]
+    old.update(schema=1)
     assert record.check_schema(old) is old  # records before the start-up block
 
 
@@ -72,6 +76,9 @@ def test_schema_accepts_a_written_record():
     lambda d: d["startup"]["change"].pop("profile_s"),
     lambda d: d["startup"]["parent"]["import_s"]["values"].pop(),
     lambda d: d["startup"]["parent"]["profile_s"].update(q3=1.0),
+    lambda d: d.update(schema=4),
+    lambda d: d["workloads"]["prep-views"].pop("sgemm_gmac_per_s"),
+    lambda d: d["workloads"]["prep-views"]["sgemm_gmac_per_s"].pop(),
 ])
 def test_schema_rejects_a_broken_record(breakage):
     doc = fake_doc()

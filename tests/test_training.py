@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from volformer import autograd as ag
 from volformer.architectures import build_model
 from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.errors import ConfigError, DivergenceError
-from volformer.presets import toy_config
+from volformer.nn import Ctx
+from volformer.presets import preset_config, toy_config
 from volformer.training import (
     AdamState,
     FoldData,
@@ -141,6 +144,51 @@ class TestAdamStep:
         p = ag.tensor([1.0], requires_grad=True)
         adam_step([("p", p)], AdamState(), lr=1e-3)
         assert p.data[0] == 1.0
+
+
+class TestGraphAfterBackward:
+    """What one ``toy-2d-trf`` training step leaves behind once its loss is
+    walked: the parameters' gradients, and next to nothing of the graph."""
+
+    HELD_BYTES = 2**20  # the unreleased graph of this step holds about 15 MB
+
+    def _step(self, graph, inputs, seen=None):
+        logits = graph.forward(inputs, Ctx(training=True, rng=np.random.default_rng(0)))
+        loss = focal_loss(ag.softmax(logits, axis=-1), [0, 1, 2, 0])
+        if seen is not None:  # every node reachable from the loss, before the walk
+            stack = [loss]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen[id(node)] = node
+                    stack.extend(node._prev)
+        ag.backward(loss)
+        return loss
+
+    def test_walk_releases_the_graph(self):
+        graph = build_model(preset_config("toy-2d-trf"), seed=0)
+        named = [(name, p.tensor) for name, p in graph.module.named_parameters()]
+        rng = np.random.default_rng(1)
+        inputs = {v: rng.random((4,) + shape, dtype=np.float32)
+                  for v, shape in graph.input_spec.items()}
+        seen = {}
+        self._step(graph, inputs, seen)  # also imports and warms what the step uses
+        interior = [t for t in seen.values() if t._backward is not None]
+        assert interior and all(t.grad is None and t._prev == () for t in interior)
+        assert all(t.grad is not None for _, t in named)
+        del seen, interior
+
+        for _, t in named:
+            t.grad = None
+        tracemalloc.start()
+        try:
+            loss = self._step(graph, inputs)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loss.grad is None
+        grads = sum(t.grad.nbytes for _, t in named)
+        assert held - grads < self.HELD_BYTES
 
 
 def tiny_fold_data(seed=0, n=24, k=4, hw=(16, 16)):
