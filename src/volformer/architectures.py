@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autograd as ag
 from .errors import ConfigError, ShapeError
-from .checkpoint import load_checkpoint
 from .nn import (
     AttentionConfig,
     BatchNorm,
@@ -77,8 +76,7 @@ class ModelConfig:
     num_classes: int = 3
     slice_count: dict = field(default_factory=lambda: {"sag": 64})
     slice_shape: dict = field(default_factory=lambda: {"sag": (160, 160)})
-    init_mode: str = "random"
-    weights_file: str | None = None
+    init_mode = "random"  # not a field: the one init, read back from every manifest
 
     def validate(self):
         if self.family not in FAMILIES:
@@ -115,10 +113,6 @@ class ModelConfig:
                 raise ConfigError(f"slice_count for {v!r} must be >=1")
             if min(self.slice_shape[v]) < 1:
                 raise ConfigError(f"slice_shape for {v!r} must be positive")
-        if self.init_mode not in ("random", "weights_file"):
-            raise ConfigError(f"init must be 'random' or 'weights_file', got {self.init_mode!r}")
-        if self.init_mode == "weights_file" and not self.weights_file:
-            raise ConfigError("init = weights_file requires a weights_file path")
         return self
 
     def input_spec(self):
@@ -418,9 +412,9 @@ class ModelGraph:
 def build_model(cfg: ModelConfig, seed=0, dtype=np.float32) -> ModelGraph:
     """Instantiate a config into a shape-validated, runnable graph.
 
-    Deterministic: identical (cfg, seed) gives bit-identical parameters.
-    ``init_mode == 'weights_file'`` overlays matching checkpoint tensors,
-    leaving unmatched parameters at their seeded initialization.
+    Deterministic: identical (cfg, seed) gives bit-identical parameters,
+    each drawn from its own seed stream when first used. A checkpoint
+    replaces them all through ``module.load_state_dict``.
     """
     cfg.validate()
     init = ParamInit(seed=seed, dtype=dtype)
@@ -428,6 +422,4 @@ def build_model(cfg: ModelConfig, seed=0, dtype=np.float32) -> ModelGraph:
     out, _ = shape_pass(module, cfg.input_spec())
     if out.shape != (cfg.num_classes,):
         raise ShapeError(f"model outputs {out.shape}, expected ({cfg.num_classes},)")
-    if cfg.init_mode == "weights_file":
-        module.load_state_dict(load_checkpoint(cfg.weights_file))
     return ModelGraph(config=cfg, module=module)

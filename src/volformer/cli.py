@@ -369,10 +369,10 @@ def cmd_evaluate(args, run):
     graphs = []
     for ckpt in ckpts:
         graph = build_model(model_cfg, seed=0)
-        _, missing, _ = graph.module.load_state_dict(load_checkpoint(ckpt))
-        if missing:
-            raise CheckpointError(f"{ckpt} lacks {len(missing)} model tensors, "
-                                  f"first {missing[0]!r}")
+        try:
+            graph.module.load_state_dict(load_checkpoint(ckpt))
+        except CheckpointError as exc:
+            raise CheckpointError(f"{ckpt}: {exc}") from None
         graphs.append(graph)
 
     pred = ensemble_predict(graphs, samples)

@@ -8,7 +8,8 @@ from operator import attrgetter
 
 from .architectures import VIEWS, ModelConfig
 from .errors import ConfigError
-from .kinds import BOOL, FLOAT, INT_LIST, NAMES, POS_INT, SHAPE, STR, read_config, read_text
+from .kinds import (BOOL, FLOAT, INT_LIST, NAMES, POS_INT, SHAPE, STR, one_of, read_config,
+                    read_text)
 
 # key -> (kind, ModelConfig attribute path). A per-view key reads ``slice_count``
 # for every view and ``slice_count.<view>`` for one, which wins.
@@ -17,8 +18,7 @@ MODEL_KEYS = {
     "family": (STR, "family"),
     "views": (NAMES, "views"),
     "num_classes": (POS_INT, "num_classes"),
-    "init": (STR, "init_mode"),
-    "weights_file": (STR, "weights_file"),
+    "init": (one_of("random"), "init_mode"),
     "encoder.in_channels": (POS_INT, "encoder.in_channels"),
     "encoder.stem_width": (POS_INT, "encoder.stem_width"),
     "encoder.stage_widths": (INT_LIST, "encoder.stage_widths"),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import autograd as ag
 from ..autograd import Tensor
-from ..errors import CheckpointError, ConfigError, ShapeError
+from ..errors import CheckpointError, ConfigError
 
 
 @dataclass
@@ -95,9 +95,6 @@ class Parameter:
         raise ConfigError(f"unknown parameter init kind {self.kind!r}")
 
     def load(self, arr):
-        arr = np.asarray(arr)
-        if tuple(arr.shape) != self.shape:
-            raise ShapeError(f"parameter shape {self.shape} cannot load array {arr.shape}")
         self._tensor = _trainable(arr.astype(self.dtype))
 
 
@@ -162,43 +159,31 @@ class Module:
         return state
 
     def load_state_dict(self, state):
-        """Load matching names; unmatched model tensors keep their init.
+        """Replace every parameter and buffer with the array of its name in
+        ``state``, which must hold exactly the model's tensors, each of the
+        model's shape. Otherwise a CheckpointError names the first name that
+        differs and nothing loads. Parameters are replaced, never
+        initialised first."""
+        shapes = {name: p.shape for name, p in self.named_parameters()}
+        shapes.update((name, buf.shape) for name, buf in self.named_buffers())
+        for name, shape in shapes.items():
+            if name not in state:
+                raise CheckpointError(f"model tensor {name!r} is not in the checkpoint")
+            if tuple(state[name].shape) != shape:
+                raise CheckpointError(f"tensor {name!r} has shape {tuple(state[name].shape)}, "
+                                      f"the model's is {shape}")
+        unknown = next((name for name in state if name not in shapes), None)
+        if unknown is not None:
+            raise CheckpointError(f"checkpoint tensor {unknown!r} is not in the model")
+        self._load(state, "")
 
-        Shape mismatches are collected and reported together. Returns the
-        lists (loaded, missing_from_file, ignored_file_keys).
-        """
-        params = dict(self.named_parameters())
-        mismatched, loaded = [], []
-        for name, arr in state.items():
-            if name in params:
-                if tuple(arr.shape) != params[name].shape:
-                    mismatched.append(f"{name}: file {tuple(arr.shape)} vs model {params[name].shape}")
-                else:
-                    params[name].load(arr)
-                    loaded.append(name)
-            else:
-                target = self._find_buffer(name)
-                if target is not None:
-                    mod, bname = target
-                    if tuple(arr.shape) != getattr(mod, bname).shape:
-                        mismatched.append(f"{name}: buffer shape mismatch {tuple(arr.shape)}")
-                    else:
-                        mod.set_buffer(bname, arr.astype(getattr(mod, bname).dtype))
-                        loaded.append(name)
-        if mismatched:
-            raise CheckpointError("shape mismatch loading checkpoint: " + "; ".join(mismatched))
-        missing = [n for n in params if n not in state]
-        ignored = [n for n in state if n not in params and self._find_buffer(n) is None]
-        return loaded, missing, ignored
-
-    def _find_buffer(self, dotted):
-        mod = self
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            mod = mod._modules.get(part)
-            if mod is None:
-                return None
-        return (mod, parts[-1]) if parts[-1] in mod._buffers else None
+    def _load(self, state, prefix):
+        for name, p in self._params.items():
+            p.load(state[prefix + name])
+        for name, buf in self._buffers.items():
+            self.set_buffer(name, state[prefix + name].astype(buf.dtype))
+        for name, child in self._modules.items():
+            child._load(state, prefix + name + ".")
 
     def __call__(self, *args, **kwargs):
         if ag.recorder is None:

@@ -63,12 +63,13 @@ def assert_grads_match(build_loss, tensors, tol=TOL, step=STEP):
 def randomize_norms(module, rng):
     """Random gamma/beta and running statistics for every BatchNorm in
     ``module``, so eval mode is not the identity it is at init."""
-    for name, p in module.named_parameters():
+    state = module.state_dict()  # parameters first, then buffers
+    for name, arr in state.items():
         if name.endswith("gamma"):
-            p.tensor.data[:] = rng.uniform(0.5, 1.5, p.shape) * rng.choice([-1, 1], p.shape)
+            state[name] = rng.uniform(0.5, 1.5, arr.shape) * rng.choice([-1, 1], arr.shape)
         elif name.endswith("beta"):
-            p.tensor.data[:] = rng.uniform(-0.5, 1.0, p.shape)
-    for name, buf in list(module.named_buffers()):
-        mod, bname = module._find_buffer(name)
-        low = 0.3 if bname == "running_var" else -1.0
-        mod.set_buffer(bname, rng.uniform(low, 2.0, buf.shape).astype(buf.dtype))
+            state[name] = rng.uniform(-0.5, 1.0, arr.shape)
+        elif name.endswith(("running_mean", "running_var")):
+            low = 0.3 if name.endswith("running_var") else -1.0
+            state[name] = rng.uniform(low, 2.0, arr.shape)
+    module.load_state_dict(state)

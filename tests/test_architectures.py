@@ -21,13 +21,12 @@ from volformer.architectures import (
     build_model,
     resnet50,
 )
-from volformer.checkpoint import save_checkpoint
 from volformer.errors import CheckpointError, ConfigError, ShapeError
 from volformer import kinds as kd
 from volformer import modelconfig as mc
 from volformer.cli import EXPERIMENT_KEYS
 from volformer.modelconfig import format_model_config, load_model_config, parse_model_config
-from volformer.nn import Ctx
+from volformer.nn import Ctx, Parameter
 from volformer.presets import (
     PRESETS,
     full_scale_config,
@@ -90,7 +89,6 @@ class TestBuildModel:
         lambda c: c.slice_count.update(sag=0),
         lambda c: c.slice_shape.update(sag=(0, 24)),
         lambda c: setattr(c.encoder, "stage_widths", (4,)),  # length mismatch
-        lambda c: setattr(c, "init_mode", "imagenet"),
     ])
     def test_invalid_configs_rejected_at_build(self, mutate):
         cfg = toy_config("2d_trf")
@@ -474,37 +472,59 @@ class TestPermutationProperty:
         np.testing.assert_allclose(permuted_both, base, atol=1e-10)
 
 
-class TestWeightsFileInit:
-    def test_partial_load_keeps_remaining_random(self, tmp_path):
-        cfg = toy_config("2d_trf", slice_count=4)
-        donor = build_model(cfg, seed=20)
-        state = donor.state_dict()
-        head_keys = [k for k in state if k.startswith("aggregator.head.")]
-        partial = {k: state[k] for k in head_keys}
-        ckpt = tmp_path / "donor.vfwt"
-        save_checkpoint(ckpt, partial)
+class TestLoadStateDict:
+    """A state loads whole or not at all."""
 
-        cfg2 = toy_config("2d_trf", slice_count=4)
-        cfg2.init_mode = "weights_file"
-        cfg2.weights_file = str(ckpt)
-        loaded = build_model(cfg2, seed=21)
-        fresh = build_model(toy_config("2d_trf", slice_count=4), seed=21)
-        for k in head_keys:
-            np.testing.assert_allclose(loaded.state_dict()[k], partial[k], atol=1e-7)
-        stem = "encoder.stem.weight"
-        np.testing.assert_array_equal(loaded.state_dict()[stem], fresh.state_dict()[stem])
-
-    def test_shape_mismatch_lists_offending_tensors(self, tmp_path):
+    @staticmethod
+    def _model_and_foreign_state():
         cfg = toy_config("2d_trf", slice_count=4)
-        ckpt = tmp_path / "bad.vfwt"
-        save_checkpoint(ckpt, {"encoder.stem.weight": np.zeros((2, 2), np.float32),
-                               "aggregator.head.bias": np.zeros(7, np.float32)})
-        cfg.init_mode = "weights_file"
-        cfg.weights_file = str(ckpt)
-        with pytest.raises(CheckpointError) as err:
-            build_model(cfg)
-        assert "encoder.stem.weight" in str(err.value)
-        assert "aggregator.head.bias" in str(err.value)
+        return build_model(cfg, seed=21), build_model(cfg, seed=20).state_dict()
+
+    def test_shape_mismatch_names_first_offending_tensor(self):
+        graph, state = self._model_and_foreign_state()
+        x = np.random.default_rng(9).random((4, 24, 24), dtype=np.float32)
+        before = graph.predict_proba(x).tobytes()
+        state["aggregator.head.weight"] = state["aggregator.head.weight"][..., None]
+        state["aggregator.head.bias"] = np.zeros(7, np.float32)
+        with pytest.raises(CheckpointError, match="'aggregator.head.weight' has shape") as err:
+            graph.module.load_state_dict(state)
+        assert "aggregator.head.bias" not in str(err.value)
+        # every tensor before the head matched and still did not load
+        assert graph.predict_proba(x).tobytes() == before
+
+    @pytest.mark.parametrize("case", ["missing", "unknown"])
+    def test_name_mismatch_is_refused_whole(self, case):
+        graph, state = self._model_and_foreign_state()
+        x = np.random.default_rng(9).random((4, 24, 24), dtype=np.float32)
+        before = graph.predict_proba(x).tobytes()
+        if case == "missing":
+            name = list(state)[-1]  # a BatchNorm buffer
+            del state[name]
+        else:
+            name = "aggregator.head.scale"
+            state[name] = np.ones(3, np.float32)
+        with pytest.raises(CheckpointError, match=f"'{name}' is not in the"):
+            graph.module.load_state_dict(state)
+        assert graph.predict_proba(x).tobytes() == before
+
+    def test_load_replaces_parameters_without_initialising_them(self, monkeypatch):
+        source = build_model(preset_config("toy-2d-trf"), seed=1).state_dict()
+        calls = []
+        init_data = Parameter._init_data
+
+        def spy(param):
+            calls.append(param)
+            return init_data(param)
+
+        monkeypatch.setattr(Parameter, "_init_data", spy)
+        graph = build_model(preset_config("toy-2d-trf"), seed=0)
+        graph.module.load_state_dict(source)
+        loaded = graph.state_dict()
+        assert calls == []
+        assert list(loaded) == list(source)
+        for name, arr in source.items():
+            assert loaded[name].dtype == arr.dtype
+            assert loaded[name].tobytes() == arr.tobytes(), name
 
 
 class TestVolumetricFamilies:
@@ -577,6 +597,8 @@ class TestModelConfigFile:
         "encoder.stem_stride = 0", "encoder.stem_kernel = 0", "agg.blocks = -1",
         "agg.dropout = nan", "encoder.stage_widths = 4,0", "encoder.stem_pool = maybe",
         "slice_shape = 24x24x24", "views",
+        # ``init`` is read so that every train manifest's model text parses
+        "init = imagenet", "init = weights_file", "weights_file = w.vfwt",
     ])
     def test_bad_line_is_config_error_naming_it(self, line):
         with pytest.raises(ConfigError, match=f"cfg line 2: .*{line.split(' ')[0]}"):
@@ -604,6 +626,7 @@ _VALUES = {
     kd.STR: st.text(_NAME + " =,", max_size=20).map(str.strip),
     kd.PATH: st.text(_NAME, max_size=20),
     kd.NAMES: st.lists(st.text(_NAME, min_size=1, max_size=8), min_size=1, max_size=3).map(tuple),
+    mc.MODEL_KEYS["init"][0]: st.just("random"),
 }
 
 

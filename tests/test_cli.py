@@ -15,10 +15,12 @@ import pytest
 
 import volformer
 from volformer import cli, manifest
+from volformer.architectures import build_model
 from volformer.checkpoint import load_checkpoint, save_checkpoint
 from volformer.cli import main
 from volformer.errors import DivergenceError
 from volformer.manifest import manifest_sha256, read_manifest, write_manifest
+from volformer.presets import preset_config
 from volformer.volume import Volume, load_volume, save_volume
 
 
@@ -156,6 +158,16 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"{cfg} line 2: {line.split(' ')[0]}" in err and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("line", ["init = imagenet", "init = weights_file",
+                                      "weights_file = w.vfwt"])
+    def test_model_file_init_other_than_random_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"family = 2d_trf\n{line}\n")
+        assert run("profile", "--config", cfg, "--out", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{cfg} line 2: " in err
+        assert line.split(" ")[0] in err and not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("line", ["lr_main = nan", "parallel_folds = -3", "crop = 48x48",
                                       "seed = -1", "batch_size = 0"])
@@ -653,16 +665,31 @@ class TestTrainEvaluate:
         report = json.loads((out / "report.json").read_text())
         assert report["metadata"]["snapshots"] == [f"fold_{i}.vfwt" for i in range(4)]
 
-    def test_evaluate_rejects_partial_checkpoint(self, tmp_path, cohort_dir, trained_dir, capsys):
+    @pytest.mark.parametrize("damage", ["dropped", "extra", "reshaped", "foreign"])
+    def test_evaluate_rejects_partial_checkpoint(self, tmp_path, cohort_dir, trained_dir, capsys,
+                                                 damage):
         run_dir = tmp_path / "run"
         shutil.copytree(trained_dir, run_dir)
-        state = load_checkpoint(run_dir / "fold_1.vfwt")
-        dropped = next(name for name in state if name.endswith("weight"))
-        del state[dropped]
-        save_checkpoint(run_dir / "fold_1.vfwt", state)
+        ckpt = run_dir / "fold_1.vfwt"
+        state = load_checkpoint(ckpt)
+        weight = next(name for name in state if name.endswith("weight"))
+        if damage == "dropped":
+            written, differ = {k: v for k, v in state.items() if k != weight}, {weight}
+        elif damage == "extra":
+            extra = "aggregator.head.scale"
+            written, differ = {**state, extra: np.ones(3, np.float32)}, {extra}
+        elif damage == "reshaped":
+            written, differ = {**state, weight: state[weight].reshape(-1)}, {weight}
+        else:  # another architecture's state under this run's name
+            written = build_model(preset_config("toy-conv3d")).state_dict()
+            differ = state.keys() ^ written.keys() | {
+                k for k in state.keys() & written.keys() if state[k].shape != written[k].shape}
+        save_checkpoint(ckpt, written)
         assert run("evaluate", "--snapshots", run_dir, "--cohort", cohort_dir / "cohort.csv",
                    "--out", tmp_path / "eval", "--n-boot", 100) == 3
-        assert dropped in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"volformer: data error: {ckpt}: ")
+        assert any(repr(name) in err for name in differ)
 
     @pytest.mark.parametrize("damage", [
         lambda raw: raw[:12] + b"\xff" + raw[13:],  # a first name byte that is not UTF-8
